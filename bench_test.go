@@ -112,7 +112,7 @@ func BenchmarkTable1AsyncMP(b *testing.B) {
 // --- Batched Table-1 cells ---------------------------------------------------
 
 // seqBaseline routes the BenchmarkBatchTable1* benches through the
-// sequential per-seed path instead of the lockstep batch runner, so the
+// sequential per-seed path instead of the seed-group runner, so the
 // before/after columns of BENCH_9.json come from the same workload:
 //
 //	go test -bench BenchmarkBatchTable1 -seqbaseline .   # before
@@ -174,9 +174,9 @@ func benchBatchMP(b *testing.B, alg core.MPAlgorithm, m timing.Model, st timing.
 	}
 }
 
-// The Slow-strategy cells exercise the whole-run share tier (a draw-free
-// strategy is proven seed-independent by the probe run); the Random cells
-// exercise the lockstep lane tier, where every seed really executes.
+// The Slow-strategy cells exercise the whole-run share (a draw-free
+// strategy is proven seed-independent by the probe run); the Random,
+// Skewed and Jittered cells draw, so every seed really executes.
 
 func BenchmarkBatchTable1SyncSM(b *testing.B) {
 	benchBatchSM(b, synchronous.NewSM(), timing.NewSynchronous(benchCfg.C2, 0), timing.Slow)
@@ -210,6 +210,15 @@ func BenchmarkBatchTable1AsyncSMRandom(b *testing.B) {
 
 func BenchmarkBatchTable1AsyncMPRandom(b *testing.B) {
 	benchBatchMP(b, async.NewMP(), timing.NewAsynchronousMP(benchCfg.C2, benchCfg.D2), timing.Random)
+}
+
+func BenchmarkBatchTable1AsyncMPSkewed(b *testing.B) {
+	benchBatchMP(b, async.NewMP(), timing.NewAsynchronousMP(benchCfg.C2, benchCfg.D2), timing.Skewed)
+}
+
+func BenchmarkBatchTable1SporadicMPJittered(b *testing.B) {
+	benchBatchMP(b, sporadic.NewMP(),
+		timing.NewSporadic(benchCfg.C1, benchCfg.D1, benchCfg.D2, 0), timing.Jittered)
 }
 
 // --- Large-n scale cells -----------------------------------------------------

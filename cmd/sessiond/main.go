@@ -124,9 +124,8 @@ type server struct {
 	panics      atomic.Int64 // handler panics contained by the middleware
 
 	// Seed-batching accounting, accumulated from every analysis result:
-	// lockstep lanes executed, whole-run prefix forks, and groups that fell
-	// back to solo runs (cache partial hits, single-seed groups).
-	batchLanes     atomic.Int64
+	// seeds served from a zero-draw probe run, and seeds that ran solo
+	// after a probe that drew.
 	batchForks     atomic.Int64
 	batchFallbacks atomic.Int64
 }
@@ -134,7 +133,6 @@ type server struct {
 // recordBatch folds one analysis result's seed-batching counters into the
 // daemon's cumulative stats.
 func (s *server) recordBatch(st sessionproblem.Stats) {
-	s.batchLanes.Add(int64(st.BatchLanes))
 	s.batchForks.Add(int64(st.BatchForks))
 	s.batchFallbacks.Add(int64(st.BatchFallbacks))
 }
@@ -561,13 +559,11 @@ type journalStats struct {
 	Repairs  int64 `json:"repairs"`
 }
 
-// batchStats is the /v1/stats seed-batching section: how much work the
-// lockstep executor saved across every analysis request. Lanes counts seeds
-// run through shared lockstep lanes, Forks counts seeds served by forking a
-// completed prefix (whole-run shares included), Fallbacks counts seeds that
-// ran solo because batching did not apply.
+// batchStats is the /v1/stats seed-batching section: how much work seed
+// sharing saved across every analysis request. Forks counts seeds served
+// from a group's zero-draw probe run instead of being simulated, Fallbacks
+// counts seeds that ran solo because the probe drew random values.
 type batchStats struct {
-	Lanes     int64 `json:"lanes"`
 	Forks     int64 `json:"forks"`
 	Fallbacks int64 `json:"fallbacks"`
 }
@@ -612,7 +608,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Repairs:  s.repairs.Load(),
 		},
 		Batch: batchStats{
-			Lanes:     s.batchLanes.Load(),
 			Forks:     s.batchForks.Load(),
 			Fallbacks: s.batchFallbacks.Load(),
 		},

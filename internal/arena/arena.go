@@ -70,48 +70,6 @@ func (a *Chunked[T]) Reset() {
 	a.ci, a.used = 0, 0
 }
 
-// Mark is a bump position saved by Checkpoint, delimiting the records
-// allocated so far.
-type Mark struct {
-	ci, used int
-}
-
-// Checkpoint returns a mark for the arena's current bump position. Together
-// with ForkFrom it lets the batched executors replicate a shared prefix of
-// arena-backed records into another lane's arena instead of recomputing it.
-func (a *Chunked[T]) Checkpoint() Mark {
-	return Mark{ci: a.ci, used: a.used}
-}
-
-// ForkFrom copies every record src allocated up to mark into this arena in
-// allocation order, one One call per record, and returns the number copied.
-// visit, when non-nil, receives each copy's ordinal and its 1-element slice
-// in this arena, letting callers rewire structures (e.g. trace steps) that
-// referenced the source records. The copies are owned by this arena:
-// mutating or resetting src afterwards does not affect them. It panics if
-// mark lies beyond src's current position.
-func (a *Chunked[T]) ForkFrom(src *Chunked[T], mark Mark, visit func(i int, copy []T)) int {
-	if mark.ci > src.ci || (mark.ci == src.ci && mark.used > src.used) {
-		panic("arena: ForkFrom with mark beyond source arena")
-	}
-	n := 0
-	for ci := 0; ci <= mark.ci && ci < len(src.chunks); ci++ {
-		c := src.chunks[ci]
-		limit := len(c)
-		if ci == mark.ci {
-			limit = mark.used
-		}
-		for i := 0; i < limit; i++ {
-			cp := a.One(c[i])
-			if visit != nil {
-				visit(n, cp)
-			}
-			n++
-		}
-	}
-	return n
-}
-
 // Freelist recycles variable-length []T buffers between producers and
 // consumers of the same run (e.g. message buffers that are filled by
 // delivery events and drained by process steps). The zero value is ready.

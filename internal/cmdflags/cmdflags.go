@@ -84,7 +84,7 @@ func RegisterExec(fs *flag.FlagSet) *Exec {
 	fs.IntVar(&e.Parallelism, "parallelism", 0, "worker-pool width (0 = GOMAXPROCS); output is identical at any setting")
 	fs.DurationVar(&e.Timeout, "timeout", 0, "wall-clock bound for the whole invocation (0 = none)")
 	fs.StringVar(&e.CacheDir, "cache-dir", "", "directory for the disk-persistent run cache (empty = no disk cache)")
-	fs.BoolVar(&e.SeedBatching, "seed-batching", true, "run each cell's seeds through shared lockstep lanes; output is identical either way")
+	fs.BoolVar(&e.SeedBatching, "seed-batching", true, "run each cell's seeds as one group that shares a run when its schedule draws no random value; output is identical either way")
 	fs.BoolVar(&e.StreamCertify, "stream-certify", false, "verify runs with the streaming certifier (O(ports) memory); output is identical either way")
 	fs.StringVar(&e.Topo, "topo", "", "comma-separated topology families for the network-diameter sweep (default complete,star,ring,line; also grid,torus,expander,random-regular)")
 	return e

@@ -2,63 +2,37 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
-	"sessionproblem/internal/mp"
-	"sessionproblem/internal/sim"
-	"sessionproblem/internal/sm"
 	"sessionproblem/internal/timing"
 )
 
-// Batched execution of one cell's seed group. A (cell, strategy) group runs
-// the same algorithm, spec and timing model over k seeds; the only input
-// that varies is the scheduler's RNG stream. BatchRunSM/BatchRunMP exploit
-// that in two tiers:
-//
-//  1. Whole-run sharing. The first seed runs solo through a draw-counting
-//     scheduler. If the run consumed zero random values, the schedule was
-//     decided entirely by deterministic (model, strategy) code paths — and
-//     draw-freeness is a property of those code paths, not of the seed — so
-//     every other seed would replay the identical trajectory. Its summary is
-//     shared for all k seeds: the k-seed group costs one run. This collapses
-//     the deterministic strategies (Slow, Fast, and the models whose gaps
-//     and delays are pinned) which dominate the Table-1 matrix.
-//
-//  2. Lockstep lanes. The seeds that do diverge run together through one
-//     calendar-queue instance with per-seed lanes (sm.RunBatch/mp.RunBatch),
-//     amortizing queue, port-table and topology state across the batch, with
-//     the initial event wave prefix-forked across lanes when it is provably
-//     draw-free.
-//
-// Both tiers produce summaries byte-identical to the solo path: tier 1 by
-// the determinism argument above, tier 2 by the lane ordering contract of
-// the batched executors.
+// Seed-group execution. A (cell, strategy) group runs the same algorithm,
+// spec and timing model over k seeds, and the seed feeds nothing but the
+// scheduler's RNG. runSeedGroup exploits that with one decision. The first
+// seed runs as a probe through the ordinary verified runner. If its
+// scheduler drew no random value, the schedule was decided entirely by
+// deterministic (model, strategy) code paths — and draw-freeness is a
+// property of those code paths, not of the seed — so every other seed would
+// replay the identical trajectory, and the probe's immutable summary serves
+// all k seeds. This collapses the deterministic strategies (Slow, Fast, and
+// the models whose gaps and delays are pinned) that dominate the Table-1
+// matrix. Otherwise each remaining seed runs through the same runner.
+// Either way every summary is byte-identical to a solo run of its seed.
 
-// BatchStats counts what the batch layer did for one seed group.
+// BatchStats counts what the seed-group layer did for one group.
 type BatchStats struct {
-	// Lanes is the number of seeds executed through a shared lockstep queue.
-	Lanes int
-	// Forks is the number of runs whose schedule prefix was shared rather
-	// than recomputed: whole-run shares count one per seed served from the
-	// probe run, lane-level forks one per lane seeded from a checkpointed
-	// initial wave.
+	// Forks is the number of seeds served from the probe run's summary
+	// instead of being simulated.
 	Forks int
-	// Fallbacks is the number of seeds that ran through the solo path
-	// because batching was inapplicable; the harness fills it in.
+	// Fallbacks is the number of seeds that ran solo after the probe
+	// because the probe drew random values. The fault sweep also counts
+	// each seed of a faulted group here.
 	Fallbacks int
 }
 
-// Add accumulates other into s.
-func (s *BatchStats) Add(other BatchStats) {
-	s.Lanes += other.Lanes
-	s.Forks += other.Forks
-	s.Fallbacks += other.Fallbacks
-}
-
-// BatchError attributes a failure inside a batched seed group to the seed
-// whose run failed, so call sites can report it exactly as the solo path
-// would have.
+// BatchError attributes a failure inside a seed group to the seed whose run
+// failed, so call sites can report it exactly as the solo path would have.
 type BatchError struct {
 	Seed uint64
 	Err  error
@@ -68,187 +42,62 @@ func (e *BatchError) Error() string { return fmt.Sprintf("seed %d: %v", e.Seed, 
 
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// batchSeedError re-attributes an executor lane error to its seed and wraps
-// everything else (context cancellation passes through unchanged).
-func batchSeedError(err error, seeds []uint64, name string, kind timing.Kind) error {
-	var le *sim.LaneError
-	if errors.As(err, &le) && le.Lane >= 0 && le.Lane < len(seeds) {
-		return &BatchError{Seed: seeds[le.Lane], Err: fmt.Errorf("run %s under %v: %w", name, kind, le.Err)}
-	}
-	return err
-}
-
-// BatchRunSM runs one shared-memory seed group and returns one summary per
-// seed, in seed order, alongside what the batch layer did. The summaries are
-// byte-identical to what RunSMScratch would produce per seed. On failure the
-// error is a *BatchError naming the offending seed (or a bare context
-// error).
-func BatchRunSM(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seeds []uint64, rs *RunScratch) ([]*RunSummary, BatchStats, error) {
+// runSeedGroup is the one seed-group path: it creates each seed's
+// scheduler, runs seed i through run, and shares the probe's summary when
+// the probe drew nothing. It returns one summary per seed, in seed order.
+// On failure the error is a *BatchError naming the offending seed, or a
+// bare context error.
+func runSeedGroup(ctx context.Context, m timing.Model, st timing.Strategy, seeds []uint64,
+	run func(i int, sched *timing.Scheduler) (*Report, error)) ([]*RunSummary, BatchStats, error) {
 	var stats BatchStats
-	if len(seeds) == 0 {
-		return nil, stats, nil
-	}
-	sched := m.NewScheduler(st, seeds[0])
-	rep, err := runSMSched(ctx, alg, spec, m, sched, st, seeds[0], rs)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, stats, err
-		}
-		return nil, stats, &BatchError{Seed: seeds[0], Err: err}
-	}
 	out := make([]*RunSummary, len(seeds))
-	out[0] = Summarize(rep)
-	if sched.Draws() == 0 {
-		// Whole-run share: the probe consumed no randomness, so every seed's
-		// trajectory is identical and the immutable summary can be shared.
-		for i := 1; i < len(seeds); i++ {
-			out[i] = out[0]
-		}
-		stats.Forks += len(seeds) - 1
-		return out, stats, nil
-	}
-	rest := seeds[1:]
-	if len(rest) == 0 {
-		return out, stats, nil
-	}
-	lanes := make([]sm.BatchLane, len(rest))
-	for i, seed := range rest {
-		sys, err := alg.BuildSM(spec, m)
-		if err != nil {
-			return nil, stats, &BatchError{Seed: seed, Err: fmt.Errorf("build %s: %w", alg.Name(), err)}
-		}
-		lanes[i] = sm.BatchLane{Sys: sys, Sched: m.NewScheduler(st, seed)}
-	}
-	opts := sm.BatchOptions{
-		ExpectedSteps: expectedSMSteps(spec),
-		WindowHint:    m.MaxIncrement(),
-		ForkInit:      !m.StartSync,
-	}
-	if rs != nil {
-		opts.Scratch = &rs.SMBatch
-	}
-	results, forks, err := sm.RunBatch(ctx, lanes, opts)
-	if err != nil {
-		return nil, stats, batchSeedError(err, rest, alg.Name(), m.Kind)
-	}
-	stats.Lanes += len(rest)
-	stats.Forks += forks
-	for i, res := range results {
-		rep, err := smReport(alg, spec, m, st, rest[i], res)
-		if err != nil {
-			return nil, stats, &BatchError{Seed: rest[i], Err: err}
-		}
-		out[i+1] = Summarize(rep)
-	}
-	return out, stats, nil
-}
-
-// BatchRunMPFaulted is the share-only batch tier for fault-audited seed
-// groups: a probe run of the first seed serves the whole group when it proves
-// the schedule seed-independent (zero scheduler draws), and the remaining
-// seeds otherwise run solo, counted as fallbacks. Lockstep lanes are not
-// attempted — the audit path's step-cap semantics (non-termination degrades
-// to a verdict instead of an error) have no lane equivalent. Callers must
-// only batch groups whose injectors provably never fire (intensity zero):
-// sharing is decided by scheduler draws alone, so a firing injector would
-// invalidate the share. frs supplies one FaultRun per seed (their plans may
-// differ; at intensity zero none of them acts).
-func BatchRunMPFaulted(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seeds []uint64, frs []FaultRun) ([]*RunSummary, BatchStats, error) {
-	var stats BatchStats
-	if len(seeds) == 0 {
-		return nil, stats, nil
-	}
-	run := func(i int) (*RunSummary, uint64, error) {
-		sched := m.NewScheduler(st, seeds[i])
-		rep, err := runMPFaultedSched(ctx, alg, spec, m, sched, frs[i])
+	for i, seed := range seeds {
+		sched := m.NewScheduler(st, seed)
+		rep, err := run(i, sched)
 		if err != nil {
 			if ctx.Err() != nil {
-				return nil, 0, err
+				return nil, stats, err
 			}
-			return nil, 0, &BatchError{Seed: seeds[i], Err: err}
+			return nil, stats, &BatchError{Seed: seed, Err: err}
 		}
-		return Summarize(rep), sched.Draws(), nil
-	}
-	out := make([]*RunSummary, len(seeds))
-	sum, draws, err := run(0)
-	if err != nil {
-		return nil, stats, err
-	}
-	out[0] = sum
-	if draws == 0 {
-		for i := 1; i < len(seeds); i++ {
-			out[i] = out[0]
+		out[i] = Summarize(rep)
+		if i == 0 && sched.Draws() == 0 {
+			// The probe never read the stream its seed feeds, so every
+			// other seed replays its trajectory.
+			for j := 1; j < len(seeds); j++ {
+				out[j] = out[0]
+			}
+			stats.Forks = len(seeds) - 1
+			return out, stats, nil
 		}
-		stats.Forks += len(seeds) - 1
-		return out, stats, nil
-	}
-	for i := 1; i < len(seeds); i++ {
-		sum, _, err := run(i)
-		if err != nil {
-			return nil, stats, err
+		if i > 0 {
+			stats.Fallbacks++
 		}
-		out[i] = sum
-		stats.Fallbacks++
 	}
 	return out, stats, nil
+}
+
+// BatchRunSM runs one shared-memory seed group through runSeedGroup. The
+// summaries are byte-identical to what RunSMScratch would produce per seed.
+func BatchRunSM(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seeds []uint64, rs *RunScratch) ([]*RunSummary, BatchStats, error) {
+	return runSeedGroup(ctx, m, st, seeds, func(i int, sched *timing.Scheduler) (*Report, error) {
+		return runSM(ctx, alg, spec, m, sched, st, seeds[i], rs)
+	})
 }
 
 // BatchRunMP is BatchRunSM for message-passing seed groups.
 func BatchRunMP(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seeds []uint64, rs *RunScratch) ([]*RunSummary, BatchStats, error) {
-	var stats BatchStats
-	if len(seeds) == 0 {
-		return nil, stats, nil
-	}
-	sched := m.NewScheduler(st, seeds[0])
-	rep, err := runMPSched(ctx, alg, spec, m, sched, st, seeds[0], rs)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, stats, err
-		}
-		return nil, stats, &BatchError{Seed: seeds[0], Err: err}
-	}
-	out := make([]*RunSummary, len(seeds))
-	out[0] = Summarize(rep)
-	if sched.Draws() == 0 {
-		for i := 1; i < len(seeds); i++ {
-			out[i] = out[0]
-		}
-		stats.Forks += len(seeds) - 1
-		return out, stats, nil
-	}
-	rest := seeds[1:]
-	if len(rest) == 0 {
-		return out, stats, nil
-	}
-	lanes := make([]mp.BatchLane, len(rest))
-	for i, seed := range rest {
-		sys, err := alg.BuildMP(spec, m)
-		if err != nil {
-			return nil, stats, &BatchError{Seed: seed, Err: fmt.Errorf("build %s: %w", alg.Name(), err)}
-		}
-		lanes[i] = mp.BatchLane{Sys: sys, Sched: m.NewScheduler(st, seed)}
-	}
-	opts := mp.BatchOptions{
-		ExpectedSteps:  expectedMPSteps(spec),
-		ExpectedDelays: expectedMPDelays(spec),
-		WindowHint:     m.MaxIncrement(),
-		ForkInit:       !m.StartSync,
-	}
-	if rs != nil {
-		opts.Scratch = &rs.MPBatch
-	}
-	results, forks, err := mp.RunBatch(ctx, lanes, opts)
-	if err != nil {
-		return nil, stats, batchSeedError(err, rest, alg.Name(), m.Kind)
-	}
-	stats.Lanes += len(rest)
-	stats.Forks += forks
-	for i, res := range results {
-		rep, err := mpReport(alg, spec, m, st, rest[i], res)
-		if err != nil {
-			return nil, stats, &BatchError{Seed: rest[i], Err: err}
-		}
-		out[i+1] = Summarize(rep)
-	}
-	return out, stats, nil
+	return runSeedGroup(ctx, m, st, seeds, func(i int, sched *timing.Scheduler) (*Report, error) {
+		return runMP(ctx, alg, spec, m, sched, st, seeds[i], rs)
+	})
+}
+
+// BatchRunMPFaulted is BatchRunMP for fault-audited seed groups, with frs
+// supplying one FaultRun per seed. Callers must only batch groups whose
+// injectors provably never fire (intensity zero): sharing is decided by
+// scheduler draws alone, so a firing injector would invalidate the share.
+func BatchRunMPFaulted(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seeds []uint64, frs []FaultRun) ([]*RunSummary, BatchStats, error) {
+	return runSeedGroup(ctx, m, st, seeds, func(i int, sched *timing.Scheduler) (*Report, error) {
+		return runMPFaultedSched(ctx, alg, spec, m, sched, frs[i])
+	})
 }

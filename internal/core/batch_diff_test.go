@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"sessionproblem/internal/alg/registry"
@@ -38,8 +39,8 @@ func batchMatrix() []struct {
 
 // TestBatchRunMatchesSolo differences BatchRunSM/BatchRunMP against looped
 // solo runs over the full model/strategy matrix: every per-seed summary must
-// be byte-identical to the solo path's, whatever mix of whole-run sharing,
-// lockstep lanes, and prefix forking the batch layer chose.
+// be byte-identical to the solo path's, whether the group shared the probe
+// run or ran every seed.
 func TestBatchRunMatchesSolo(t *testing.T) {
 	ctx := context.Background()
 	spec := core.Spec{S: 3, N: 4, B: 2}
@@ -88,8 +89,8 @@ func TestBatchRunMatchesSolo(t *testing.T) {
 				if len(batched) != len(seeds) {
 					t.Fatalf("got %d summaries, want %d", len(batched), len(seeds))
 				}
-				if stats.Lanes+stats.Forks == 0 && len(seeds) > 1 && stats.Fallbacks == 0 {
-					t.Errorf("batch layer did nothing: %+v", stats)
+				if stats.Forks+stats.Fallbacks != len(seeds)-1 {
+					t.Errorf("every seed after the probe must be shared or run solo: %+v", stats)
 				}
 			})
 		}
@@ -113,8 +114,8 @@ func assertSummaryEqual(t *testing.T, seed uint64, want, got *core.RunSummary) {
 	}
 }
 
-// TestBatchRunWholeRunShare pins the tier-1 optimization: a deterministic
-// strategy must be served by a single probe run with the summary shared.
+// TestBatchRunWholeRunShare pins the share: a deterministic strategy must be
+// served by a single probe run with the summary shared.
 func TestBatchRunWholeRunShare(t *testing.T) {
 	ctx := context.Background()
 	spec := core.Spec{S: 2, N: 3, B: 2}
@@ -128,7 +129,7 @@ func TestBatchRunWholeRunShare(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BatchRunSM: %v", err)
 	}
-	if stats.Lanes != 0 || stats.Forks != len(seeds)-1 {
+	if stats.Forks != len(seeds)-1 || stats.Fallbacks != 0 {
 		t.Errorf("expected whole-run share, got stats %+v", stats)
 	}
 	if out[1] != out[0] || out[2] != out[0] {
@@ -136,8 +137,8 @@ func TestBatchRunWholeRunShare(t *testing.T) {
 	}
 }
 
-// TestBatchRunErrorAttribution checks a failing lane surfaces as a BatchError
-// naming its seed with the solo path's error wording.
+// TestBatchRunErrorAttribution checks a failing group surfaces as a
+// BatchError naming its seed with the solo path's error wording.
 func TestBatchRunErrorAttribution(t *testing.T) {
 	ctx := context.Background()
 	m := timing.NewSynchronous(4, 0)
@@ -149,7 +150,18 @@ func TestBatchRunErrorAttribution(t *testing.T) {
 	// must be the one named.
 	spec := core.Spec{S: 0, N: 3, B: 2}
 	_, _, berr := core.BatchRunSM(ctx, alg, spec, m, timing.Random, []uint64{11, 12}, nil)
-	if berr == nil {
-		t.Fatal("expected error for invalid spec")
+	var be *core.BatchError
+	if !errors.As(berr, &be) {
+		t.Fatalf("got %v, want a *core.BatchError", berr)
+	}
+	if be.Seed != 11 {
+		t.Errorf("error names seed %d, want the probe seed 11", be.Seed)
+	}
+	_, serr := core.RunSMContext(ctx, alg, spec, m, timing.Random, 11)
+	if serr == nil {
+		t.Fatal("solo run of seed 11 succeeded on an invalid spec")
+	}
+	if be.Err.Error() != serr.Error() {
+		t.Errorf("inner error %q, want the solo error %q", be.Err, serr)
 	}
 }

@@ -1,9 +1,9 @@
 package core_test
 
 import (
-	"testing"
-
 	"context"
+	"errors"
+	"testing"
 
 	"sessionproblem/internal/alg/registry"
 	"sessionproblem/internal/core"
@@ -13,8 +13,9 @@ import (
 
 // runBatchDifferential interprets data as a batch configuration — model,
 // strategy, spec, seed set — and differences the batch runners against
-// looped solo runs. Both paths must agree on success or failure, and on
-// success every per-seed summary must be byte-identical.
+// looped solo runs. Both paths must agree on success or failure; on failure
+// the batched error must name the first failing seed with the solo error's
+// text, and on success every per-seed summary must be byte-identical.
 func runBatchDifferential(t *testing.T, data []byte) {
 	if len(data) < 6 {
 		return
@@ -39,6 +40,7 @@ func runBatchDifferential(t *testing.T, data []byte) {
 	var berr error
 	solo := make([]*core.RunSummary, len(seeds))
 	var serr error
+	var serrSeed uint64
 	if tc.comm == "sm" {
 		alg, err := registry.ForSM(tc.m.Kind)
 		if err != nil {
@@ -48,7 +50,7 @@ func runBatchDifferential(t *testing.T, data []byte) {
 		for i, seed := range seeds {
 			rep, err := core.RunSMContext(ctx, alg, spec, tc.m, st, seed)
 			if err != nil {
-				serr = err
+				serr, serrSeed = err, seed
 				break
 			}
 			solo[i] = core.Summarize(rep)
@@ -62,7 +64,7 @@ func runBatchDifferential(t *testing.T, data []byte) {
 		for i, seed := range seeds {
 			rep, err := core.RunMPContext(ctx, alg, spec, tc.m, st, seed)
 			if err != nil {
-				serr = err
+				serr, serrSeed = err, seed
 				break
 			}
 			solo[i] = core.Summarize(rep)
@@ -72,6 +74,14 @@ func runBatchDifferential(t *testing.T, data []byte) {
 		t.Fatalf("%s/%v %v: batch err %v, solo err %v", tc.name, st, spec, berr, serr)
 	}
 	if berr != nil {
+		var be *core.BatchError
+		if !errors.As(berr, &be) {
+			t.Fatalf("%s/%v %v: batch err %v is not a *core.BatchError", tc.name, st, spec, berr)
+		}
+		if be.Seed != serrSeed || be.Err.Error() != serr.Error() {
+			t.Fatalf("%s/%v %v: batch err names seed %d: %v; solo seed %d failed first: %v",
+				tc.name, st, spec, be.Seed, be.Err, serrSeed, serr)
+		}
 		return
 	}
 	for i, seed := range seeds {

@@ -130,17 +130,13 @@ func RunSM(alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed 
 // RunSMContext is RunSM with cooperative cancellation threaded through the
 // shared-memory executor.
 func RunSMContext(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64) (*Report, error) {
-	return runSM(ctx, alg, spec, m, st, seed, nil)
+	return runSM(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, nil)
 }
 
-func runSM(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64, rs *RunScratch) (*Report, error) {
-	return runSMSched(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, rs)
-}
-
-// runSMSched is runSM with a caller-supplied scheduler, letting the batch
-// layer keep a handle on it (for draw counting) while sharing the exact
-// validation, execution and verification sequence of the solo path.
-func runSMSched(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, sched *timing.Scheduler, st timing.Strategy, seed uint64, rs *RunScratch) (*Report, error) {
+// runSM is the verified shared-memory runner. The caller builds the
+// scheduler for seed, so the seed-group layer can read its draw count
+// afterwards.
+func runSM(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, sched *timing.Scheduler, st timing.Strategy, seed uint64, rs *RunScratch) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -155,13 +151,6 @@ func runSMSched(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model,
 	if err != nil {
 		return nil, fmt.Errorf("run %s under %v: %w", alg.Name(), m.Kind, err)
 	}
-	return smReport(alg, spec, m, st, seed, res)
-}
-
-// smReport builds and verifies the report for one shared-memory executor
-// result — admissibility, then the session condition — with the exact error
-// wording of the solo path, so batched lanes report failures identically.
-func smReport(alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64, res *sm.Result) (*Report, error) {
 	rep := &Report{
 		Algorithm: alg.Name(),
 		Model:     m.Kind,
@@ -192,15 +181,11 @@ func RunMP(alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed 
 // RunMPContext is RunMP with cooperative cancellation threaded through the
 // message-passing executor.
 func RunMPContext(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64) (*Report, error) {
-	return runMP(ctx, alg, spec, m, st, seed, nil)
+	return runMP(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, nil)
 }
 
-func runMP(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64, rs *RunScratch) (*Report, error) {
-	return runMPSched(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, rs)
-}
-
-// runMPSched is runMP with a caller-supplied scheduler; see runSMSched.
-func runMPSched(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, sched *timing.Scheduler, st timing.Strategy, seed uint64, rs *RunScratch) (*Report, error) {
+// runMP is the verified message-passing runner; see runSM.
+func runMP(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, sched *timing.Scheduler, st timing.Strategy, seed uint64, rs *RunScratch) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -215,12 +200,6 @@ func runMPSched(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model,
 	if err != nil {
 		return nil, fmt.Errorf("run %s under %v: %w", alg.Name(), m.Kind, err)
 	}
-	return mpReport(alg, spec, m, st, seed, res)
-}
-
-// mpReport builds and verifies the report for one message-passing executor
-// result; see smReport.
-func mpReport(alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64, res *mp.Result) (*Report, error) {
 	rep := &Report{
 		Algorithm: alg.Name(),
 		Model:     m.Kind,

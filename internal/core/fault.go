@@ -100,7 +100,7 @@ func RunMPFaulted(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Mode
 }
 
 // runMPFaultedSched is RunMPFaulted with a caller-supplied scheduler, letting
-// the batch layer keep a handle on it for draw counting; see runMPSched.
+// the seed-group layer read its draw count afterwards; see runSM.
 func runMPFaultedSched(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, sched *timing.Scheduler, fr FaultRun) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -22,10 +22,6 @@ import (
 type RunScratch struct {
 	SM sm.Scratch
 	MP mp.Scratch
-	// SMBatch and MPBatch back the lockstep batch runners (BatchRunSM,
-	// BatchRunMP); the batch results obey the same ownership contract.
-	SMBatch sm.BatchScratch
-	MPBatch mp.BatchScratch
 }
 
 // Trace-size hints: the session algorithms take O(S·N) port-process steps in
@@ -39,13 +35,13 @@ func expectedMPDelays(spec Spec) int { return spec.S*spec.N*spec.N + 128 }
 // RunSMScratch is RunSMContext backed by a reusable scratch. A nil scratch
 // is equivalent to RunSMContext.
 func RunSMScratch(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64, rs *RunScratch) (*Report, error) {
-	return runSM(ctx, alg, spec, m, st, seed, rs)
+	return runSM(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, rs)
 }
 
 // RunMPScratch is RunMPContext backed by a reusable scratch. A nil scratch
 // is equivalent to RunMPContext.
 func RunMPScratch(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64, rs *RunScratch) (*Report, error) {
-	return runMP(ctx, alg, spec, m, st, seed, rs)
+	return runMP(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, rs)
 }
 
 func smOptions(spec Spec, m timing.Model, rs *RunScratch) sm.Options {

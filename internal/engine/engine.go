@@ -42,12 +42,16 @@ type Counts struct {
 	Messages int
 	// Faults is the number of injected faults applied during the run.
 	Faults int
-	// BatchLanes, BatchForks and BatchFallbacks account the seed-batching
-	// layer: seeds run through shared lockstep lanes, runs served from a
-	// shared schedule prefix, and seeds that fell back to solo runs.
-	BatchLanes     int
+	// BatchForks and BatchFallbacks account the seed-batching layer: seeds
+	// served from a zero-draw probe run's summary, and seeds that ran solo
+	// after a probe that drew (or in a fault sweep's faulted group).
 	BatchForks     int
 	BatchFallbacks int
+	// BatchLanes always reads zero: seed groups no longer run through
+	// lockstep lanes.
+	//
+	// Deprecated: kept so existing readers compile; nothing sets it.
+	BatchLanes int
 }
 
 // Accountable lets task return values feed simulator counts into the
@@ -341,7 +345,6 @@ func (e *Engine) record(r Result) {
 	e.stats.Counts.Sessions += r.Counts.Sessions
 	e.stats.Counts.Messages += r.Counts.Messages
 	e.stats.Counts.Faults += r.Counts.Faults
-	e.stats.Counts.BatchLanes += r.Counts.BatchLanes
 	e.stats.Counts.BatchForks += r.Counts.BatchForks
 	e.stats.Counts.BatchFallbacks += r.Counts.BatchFallbacks
 }

@@ -65,9 +65,9 @@ type FaultSweepConfig struct {
 	Engine *engine.Engine
 
 	// NoSeedBatch disables seed batching; see Config.NoSeedBatch. The fault
-	// sweep batches only its fault-free (intensity zero) groups — faulted
-	// runs have per-index plans and audit semantics the lockstep lanes do
-	// not model — so this knob mainly exists for symmetry and debugging.
+	// sweep shares runs only within its fault-free (intensity zero) groups —
+	// a firing injector makes each seed's run depend on its own plan — so
+	// this knob mainly exists for symmetry and debugging.
 	NoSeedBatch bool
 }
 
@@ -218,7 +218,6 @@ func (b faultBatchOutcome) Account() engine.Counts {
 		c.Messages += o.messages
 		c.Faults += o.faults
 	}
-	c.BatchLanes = b.stats.Lanes
 	c.BatchForks = b.stats.Forks
 	c.BatchFallbacks = b.stats.Fallbacks
 	return c
@@ -308,9 +307,9 @@ func FaultSweep(ctx context.Context, cfg FaultSweepConfig) ([]FaultSweepRow, err
 	}
 
 	// runGroup executes one (row, intensity, strategy[, kind]) seed group as
-	// a single engine task. Fault-free (intensity zero) groups go through the
-	// share-only batch tier — their per-index plans never act, so a
-	// draw-free probe serves every seed; everything else runs seed by seed
+	// a single engine task. Fault-free (intensity zero) groups go through
+	// core's seed-group runner — their per-index plans never act, so a
+	// draw-free probe serves every seed; faulted groups run seed by seed
 	// inside the task, counted as fallbacks. Cache keys, plan seeds and
 	// outcomes are byte-identical to the per-run path.
 	runGroup := func(ctx context.Context, g int) (faultBatchOutcome, error) {
@@ -336,7 +335,7 @@ func FaultSweep(ctx context.Context, cfg FaultSweepConfig) ([]FaultSweepRow, err
 		if len(miss) == 0 {
 			return bo, nil
 		}
-		if intensity == 0 && len(miss) > 1 {
+		if intensity == 0 {
 			seeds := make([]uint64, len(miss))
 			frs := make([]core.FaultRun, len(miss))
 			for j, k := range miss {
@@ -344,7 +343,7 @@ func FaultSweep(ctx context.Context, cfg FaultSweepConfig) ([]FaultSweepRow, err
 				frs[j] = core.FaultRun{Injector: plans[k].Injector(), MaxSteps: cfg.MaxSteps, Scratch: rs}
 			}
 			sums, stats, err := core.BatchRunMPFaulted(ctx, d.alg, spec, d.model, st, seeds, frs)
-			bo.stats.Add(stats)
+			bo.stats = stats
 			if err != nil {
 				inner := err
 				var be *core.BatchError

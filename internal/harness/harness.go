@@ -57,10 +57,11 @@ type Config struct {
 	// Parallelism. Nil means a fresh engine per call.
 	Engine *engine.Engine
 
-	// NoSeedBatch disables lockstep seed batching: every (strategy, seed)
-	// run becomes its own engine task instead of one task per seed group.
-	// Results are byte-identical either way; this is an escape hatch for
-	// debugging and for isolating per-run timings.
+	// NoSeedBatch disables seed batching: every (strategy, seed) run becomes
+	// its own engine task instead of one task per seed group, and no seed
+	// is served from another seed's run. Results are byte-identical either
+	// way; this is an escape hatch for debugging and for isolating per-run
+	// timings, and the reference the differential tests compare against.
 	NoSeedBatch bool
 
 	// StreamCertify routes every Table-1 run through the streaming
@@ -68,8 +69,9 @@ type Config struct {
 	// recorded steps and an online counter verifies the session condition,
 	// so memory stays O(ports) regardless of step count. Results — and run
 	// cache contents — are byte-identical to the materialized path (the
-	// golden tests in internal/core enforce it). Implies NoSeedBatch:
-	// lockstep lanes materialize traces by construction.
+	// golden tests in internal/core enforce it). Implies NoSeedBatch: the
+	// streaming runners build their own scheduler, so the seed-group probe
+	// cannot read its draw count.
 	StreamCertify bool
 }
 
@@ -271,7 +273,6 @@ func (b batchOutcome) Account() engine.Counts {
 		c.Messages += o.messages
 		c.Faults += o.faults
 	}
-	c.BatchLanes = b.stats.Lanes
 	c.BatchForks = b.stats.Forks
 	c.BatchFallbacks = b.stats.Fallbacks
 	return c
@@ -287,11 +288,11 @@ func seedAxis(n int) []uint64 {
 }
 
 // batchSeedGroup runs one (algorithm, model, strategy) seed group through
-// core's two-tier batch layer while preserving the solo path's per-seed
-// cache protocol: every seed keeps its own content-addressed slot, hits skip
-// simulation entirely, and only the misses enter the batched run. A single
-// miss has nothing to batch against and falls back to the solo runner.
-// Outcomes and cache contents are byte-identical to the per-seed path.
+// core's seed-group runner while preserving the solo path's per-seed cache
+// protocol: every seed keeps its own content-addressed slot, hits skip
+// simulation entirely, and only the misses enter the group run (a single
+// miss is a probe with nothing to share). Outcomes and cache contents are
+// byte-identical to the per-seed path.
 // Exactly one of smAlg/mpAlg is set; wrap renders a failure with the seed it
 // is attributed to.
 func batchSeedGroup(ctx context.Context, smAlg core.SMAlgorithm, mpAlg core.MPAlgorithm, comm string, spec core.Spec, m timing.Model, st timing.Strategy, seeds []uint64, wrap func(seed uint64, err error) error) (batchOutcome, error) {
@@ -319,42 +320,17 @@ func batchSeedGroup(ctx context.Context, smAlg core.SMAlgorithm, mpAlg core.MPAl
 	if len(miss) == 0 {
 		return bo, nil
 	}
-	rs := scratchFrom(ctx)
-	if len(miss) == 1 {
-		i := miss[0]
-		var rep *core.Report
-		var err error
-		if smAlg != nil {
-			rep, err = core.RunSMScratch(ctx, smAlg, spec, m, st, seeds[i], rs)
-		} else {
-			rep, err = core.RunMPScratch(ctx, mpAlg, spec, m, st, seeds[i], rs)
-		}
-		if err != nil {
-			return bo, wrap(seeds[i], err)
-		}
-		if cache != nil {
-			sum := core.Summarize(rep)
-			cache.Put(key(seeds[i]), sum)
-			bo.outs[i] = outcomeOf(sum)
-		} else {
-			bo.outs[i] = outcomeOfReport(rep)
-		}
-		bo.stats.Fallbacks++
-		return bo, nil
-	}
 	missSeeds := make([]uint64, len(miss))
 	for j, i := range miss {
 		missSeeds[j] = seeds[i]
 	}
 	var sums []*core.RunSummary
-	var stats core.BatchStats
 	var err error
 	if smAlg != nil {
-		sums, stats, err = core.BatchRunSM(ctx, smAlg, spec, m, st, missSeeds, rs)
+		sums, bo.stats, err = core.BatchRunSM(ctx, smAlg, spec, m, st, missSeeds, scratchFrom(ctx))
 	} else {
-		sums, stats, err = core.BatchRunMP(ctx, mpAlg, spec, m, st, missSeeds, rs)
+		sums, bo.stats, err = core.BatchRunMP(ctx, mpAlg, spec, m, st, missSeeds, scratchFrom(ctx))
 	}
-	bo.stats.Add(stats)
 	if err != nil {
 		seed, inner := missSeeds[0], err
 		var be *core.BatchError

@@ -227,7 +227,7 @@ type SweepSpec struct {
 	// Parallelism.
 	Engine *engine.Engine
 
-	// NoSeedBatch disables lockstep seed batching; see Config.NoSeedBatch.
+	// NoSeedBatch disables seed batching; see Config.NoSeedBatch.
 	NoSeedBatch bool
 }
 

@@ -52,22 +52,16 @@ var scratchReturnExempt = map[string]bool{
 var scratchTypes = map[string]bool{
 	"sessionproblem/internal/sm.Scratch":      true,
 	"sessionproblem/internal/mp.Scratch":      true,
-	"sessionproblem/internal/sm.BatchScratch": true,
-	"sessionproblem/internal/mp.BatchScratch": true,
 	"sessionproblem/internal/core.RunScratch": true,
 	"sessionproblem/internal/arena.Arena":     true,
 	"sessionproblem/internal/arena.Freelist":  true,
 }
 
 // scratchRunFuncs are the package-level functions whose results always
-// alias the scratch they were handed. The batch runners hand out one
-// lane-scoped report per seed; every lane's report obeys the same escape
-// rules as a solo run's.
+// alias the scratch they were handed.
 var scratchRunFuncs = map[string]bool{
 	"sessionproblem/internal/core.RunSMScratch": true,
 	"sessionproblem/internal/core.RunMPScratch": true,
-	"sessionproblem/internal/sm.RunBatch":       true,
-	"sessionproblem/internal/mp.RunBatch":       true,
 }
 
 // scratchFaultFuncs alias scratch only when their FaultRun argument

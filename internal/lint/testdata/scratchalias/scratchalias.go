@@ -8,8 +8,6 @@ import (
 	"context"
 
 	"sessionproblem/internal/core"
-	"sessionproblem/internal/mp"
-	"sessionproblem/internal/sm"
 	"sessionproblem/internal/timing"
 )
 
@@ -121,32 +119,4 @@ func scalarReadsAreClean(ctx context.Context, alg core.SMAlgorithm, spec core.Sp
 		return 0, false
 	}
 	return rep.Steps(), rep.Sessions > 0
-}
-
-var globalBatch []*sm.Result
-
-// batchLeaks: the lockstep batch runners hand out one lane-scoped result
-// per seed; the slice and every element alias the BatchScratch and obey
-// the same escape rules as a solo run's report.
-func batchLeaks(ctx context.Context, lanes []sm.BatchLane, rs *core.RunScratch, ch chan []*mp.Result) []*sm.Result {
-	res, _, err := sm.RunBatch(ctx, lanes, sm.BatchOptions{Scratch: &rs.SMBatch})
-	if err != nil {
-		return nil // errors are not scratch data; must stay clean
-	}
-	globalBatch = res // want `stored in package-level globalBatch`
-	return res        // want `returned from batchLeaks past the ownership boundary`
-}
-
-func batchSendLeaks(ctx context.Context, lanes []mp.BatchLane, rs *core.RunScratch, ch chan []*mp.Result) {
-	res, _, _ := mp.RunBatch(ctx, lanes, mp.BatchOptions{Scratch: &rs.MPBatch})
-	ch <- res // want `sent on a channel`
-}
-
-// batchScalarsAreClean: per-lane finish times copy by value.
-func batchScalarsAreClean(ctx context.Context, lanes []sm.BatchLane, rs *core.RunScratch) int64 {
-	res, _, err := sm.RunBatch(ctx, lanes, sm.BatchOptions{Scratch: &rs.SMBatch})
-	if err != nil || len(res) == 0 {
-		return 0
-	}
-	return int64(res[0].Finish)
 }

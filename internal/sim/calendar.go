@@ -14,13 +14,13 @@ const (
 )
 
 // CalendarQueue is a monotone calendar (bucket) queue of events ordered by
-// (At, Lane, Kind, Proc, Seq), following Brown's calendar-queue design
-// (CACM 1988) specialized to the simulator's monotone virtual clock:
+// (At, Kind, Proc, Seq), following Brown's calendar-queue design (CACM
+// 1988) specialized to the simulator's monotone virtual clock:
 // executors only push events at or after the tick currently being drained,
 // and every increment is bounded by the timing model's max(c2, d2, gap cap,
 // period). Under that contract Push and Pop are O(1) amortized — a push
 // indexes a bucket by At & mask, and the per-tick sort that restores
-// (Lane, Kind, Proc, Seq) order is paid once per tick over all its events.
+// (Kind, Proc, Seq) order is paid once per tick over all its events.
 //
 // Events scheduled at or beyond cur+window (e.g. fault-injected restart
 // pauses that exceed the model's bounds) spill into a small overflow
@@ -40,7 +40,7 @@ type CalendarQueue struct {
 	mask    Time // len(buckets) - 1
 	cur     Time // lower bound on every pending event's At
 	pos     int  // consumed prefix of the bucket at cur
-	sorted  bool // buckets[cur&mask][pos:] is in (Lane, Kind, Proc, Seq) order
+	sorted  bool // buckets[cur&mask][pos:] is in (Kind, Proc, Seq) order
 	n       int  // total pending events
 	nb      int  // pending events held in buckets (rest are in overflow)
 	seq     uint64
@@ -48,7 +48,7 @@ type CalendarQueue struct {
 	spare   []Event   // rebase/sort scratch, kept to avoid slow-path allocation
 	blocks  [][]Event // pooled blocks carved into bucket capacity chunks
 	bi, bo  int       // carve cursor into blocks: block index, offset
-	cnt     []int32   // counting-sort histogram over (Lane, Kind, Proc) keys
+	cnt     []int32   // counting-sort histogram over (Kind, Proc) keys
 }
 
 // Bucket capacity chunking: an empty bucket's first append would otherwise
@@ -215,10 +215,10 @@ func (q *CalendarQueue) PeekAt(t Time) (Event, bool) {
 }
 
 // PopTick removes every pending event at the earliest tick, appends them to
-// dst in (Lane, Kind, Proc, Seq) order, and returns the tick and the
-// extended slice. It panics on an empty queue. The clock stays on the
-// returned tick, so events pushed at the same tick afterwards land at the
-// front and are observable via PeekAt.
+// dst in (Kind, Proc, Seq) order, and returns the tick and the extended
+// slice. It panics on an empty queue. The clock stays on the returned tick,
+// so events pushed at the same tick afterwards land at the front and are
+// observable via PeekAt.
 func (q *CalendarQueue) PopTick(dst []Event) (Time, []Event) {
 	if q.n == 0 {
 		panic("sim: PopTick on empty CalendarQueue")
@@ -238,51 +238,6 @@ func (q *CalendarQueue) PopTick(dst []Event) (Time, []Event) {
 	q.pos = 0
 	q.sorted = false
 	return q.cur, dst
-}
-
-// PopTickLanes drains the earliest tick like PopTick, documenting the
-// lane-major contract the batched executors rely on: the returned batch is
-// grouped by Lane, and within each lane the events appear in exactly the
-// (Kind, Proc, Seq) order a solo run over a private queue would pop them.
-func (q *CalendarQueue) PopTickLanes(dst []Event) (Time, []Event) {
-	return q.PopTick(dst)
-}
-
-// Checkpoint appends every pending event to dst in push (Seq) order and
-// returns the extended slice, without disturbing the queue. Together with
-// ForkFrom it lets a batched executor replicate a shared schedule prefix
-// into additional lanes instead of recomputing it per seed.
-func (q *CalendarQueue) Checkpoint(dst []Event) []Event {
-	n0 := len(dst)
-	front := q.cur & q.mask
-	for i := range q.buckets {
-		b := q.buckets[i]
-		if q.n > 0 && Time(i) == front {
-			b = b[q.pos:] // skip the consumed (zeroed) prefix
-		}
-		dst = append(dst, b...)
-	}
-	dst = append(dst, q.over...)
-	slices.SortFunc(dst[n0:], func(a, b Event) int {
-		switch {
-		case a.Seq < b.Seq:
-			return -1
-		case a.Seq > b.Seq:
-			return 1
-		}
-		return 0
-	})
-	return dst
-}
-
-// ForkFrom pushes a copy of each checkpointed event retagged with lane. The
-// checkpoint is in push order, and Push assigns fresh ascending Seqs, so the
-// forked lane's relative event order matches the checkpointed lane's.
-func (q *CalendarQueue) ForkFrom(cp []Event, lane int32) {
-	for _, ev := range cp {
-		ev.Lane = lane
-		q.Push(ev)
-	}
 }
 
 // Len reports the number of pending events.
@@ -474,11 +429,10 @@ func (q *CalendarQueue) overPop() Event {
 	return ev
 }
 
-// sortSameTick restores (Lane, Kind, Proc, Seq) order within one tick's
-// events. The common cases are already sorted — SM pushes steps in process
-// order, single-sender delivery waves arrive in destination order, batched
-// executors process lanes in order — so a linear sortedness check runs first
-// and usually wins.
+// sortSameTick restores (Kind, Proc, Seq) order within one tick's events.
+// The common cases are already sorted — SM pushes steps in process order,
+// single-sender delivery waves arrive in destination order — so a linear
+// sortedness check runs first and usually wins.
 func (q *CalendarQueue) sortSameTick(evs []Event) {
 	for i := 1; i < len(evs); i++ {
 		if SameTickLess(evs[i], evs[i-1]) {
@@ -488,48 +442,39 @@ func (q *CalendarQueue) sortSameTick(evs []Event) {
 	}
 }
 
-// maxCountProc and maxCountLane bound the (Lane, Kind, Proc) key space of
-// the counting sort; events outside it (huge or negative Proc or Lane values
-// from ad-hoc users, or unknown kinds) fall back to a comparison sort.
-const (
-	maxCountProc = 4096
-	maxCountLane = 64
-)
+// maxCountProc bounds the (Kind, Proc) key space of the counting sort;
+// events outside it (huge or negative Proc values from ad-hoc users, or
+// unknown kinds) fall back to a comparison sort.
+const maxCountProc = 4096
 
 // countingSort is the same-tick sort for the executor workloads:
 // multi-sender delivery waves interleave destination-ordered runs, which is
 // a worst case for a comparison sort (O(m log m) swaps of 64-byte events
 // with write barriers for the Body pointer) but a single stable scatter
-// pass here. Scatter preserves slice order inside each (Lane, Kind, Proc)
-// group; that is Seq order for bucket appends, and the final fixup pass
-// repairs the rare groups that a rebase or an overflow migration left out
-// of order.
+// pass here. Scatter preserves slice order inside each (Kind, Proc) group;
+// that is Seq order for bucket appends, and the final fixup pass repairs
+// the rare groups that a rebase or an overflow migration left out of order.
 func (q *CalendarQueue) countingSort(evs []Event) {
 	maxProc := 0
-	maxLane := int32(0)
 	for i := range evs {
 		e := &evs[i]
-		if e.Proc < 0 || e.Proc >= maxCountProc || e.Kind < KindDelivery || e.Kind > KindStep ||
-			e.Lane < 0 || e.Lane >= maxCountLane {
+		if e.Proc < 0 || e.Proc >= maxCountProc || e.Kind < KindDelivery || e.Kind > KindStep {
 			slices.SortFunc(evs, cmpSameTick)
 			return
 		}
 		if e.Proc > maxProc {
 			maxProc = e.Proc
 		}
-		if e.Lane > maxLane {
-			maxLane = e.Lane
-		}
 	}
 	span := maxProc + 1
-	nk := int(maxLane+1) * 2 * span // kinds are KindDelivery and KindStep
+	nk := 2 * span // kinds are KindDelivery and KindStep
 	if cap(q.cnt) < nk {
 		q.cnt = make([]int32, nk)
 	}
 	cnt := q.cnt[:nk]
 	clear(cnt)
 	key := func(e *Event) int {
-		return (int(e.Lane)*2+int(e.Kind)-1)*span + e.Proc
+		return (int(e.Kind)-1)*span + e.Proc
 	}
 	for i := range evs {
 		cnt[key(&evs[i])]++
@@ -553,12 +498,10 @@ func (q *CalendarQueue) countingSort(evs []Event) {
 	clear(tmp) // release Body references held by the scratch
 	q.spare = q.spare[:0]
 	for i := 1; i < len(evs); i++ {
-		if evs[i].Lane == evs[i-1].Lane && evs[i].Kind == evs[i-1].Kind &&
-			evs[i].Proc == evs[i-1].Proc && evs[i].Seq < evs[i-1].Seq {
+		if evs[i].Kind == evs[i-1].Kind && evs[i].Proc == evs[i-1].Proc && evs[i].Seq < evs[i-1].Seq {
 			ev := evs[i]
 			j := i
-			for j > 0 && evs[j-1].Lane == ev.Lane && evs[j-1].Kind == ev.Kind &&
-				evs[j-1].Proc == ev.Proc && evs[j-1].Seq > ev.Seq {
+			for j > 0 && evs[j-1].Kind == ev.Kind && evs[j-1].Proc == ev.Proc && evs[j-1].Seq > ev.Seq {
 				evs[j] = evs[j-1]
 				j--
 			}
@@ -568,12 +511,6 @@ func (q *CalendarQueue) countingSort(evs []Event) {
 }
 
 func cmpSameTick(a, b Event) int {
-	if a.Lane != b.Lane {
-		if a.Lane < b.Lane {
-			return -1
-		}
-		return 1
-	}
 	if a.Kind != b.Kind {
 		if a.Kind < b.Kind {
 			return -1

@@ -1,7 +1,5 @@
 package sim
 
-import "slices"
-
 // EventKind orders events that fall on the same tick. Lower kinds run first:
 // network deliveries are processed before process steps at the same time, so
 // a message delivered "at" time t is visible to a step taken at time t. This
@@ -26,12 +24,6 @@ const (
 type Event struct {
 	At   Time
 	Kind EventKind
-	// Lane separates independent executions multiplexed through one queue
-	// (the batched lockstep executors give each seed a lane). Events of one
-	// tick drain lane-major, so within a lane the relative order is exactly
-	// what a solo run over a private queue would produce. Solo runs leave
-	// Lane at 0 and see the historical (At, Kind, Proc, Seq) order.
-	Lane int32
 	Proc int
 	Seq  uint64 // assigned by the queue; breaks remaining ties FIFO
 	Src  int
@@ -39,13 +31,10 @@ type Event struct {
 }
 
 // SameTickLess reports whether a orders before b among events scheduled at
-// the same tick: by Lane, then Kind, then Proc, then Seq. It is the tail of
-// the full (At, Lane, Kind, Proc, Seq) event order; the executors use it to
-// merge events pushed back onto the tick currently being drained.
+// the same tick: by Kind, then Proc, then Seq. It is the tail of the full
+// (At, Kind, Proc, Seq) event order; the executors use it to merge events
+// pushed back onto the tick currently being drained.
 func SameTickLess(a, b Event) bool {
-	if a.Lane != b.Lane {
-		return a.Lane < b.Lane
-	}
 	if a.Kind != b.Kind {
 		return a.Kind < b.Kind
 	}
@@ -56,8 +45,8 @@ func SameTickLess(a, b Event) bool {
 }
 
 // HeapQueue is a deterministic priority queue of events ordered by
-// (At, Lane, Kind, Proc, Seq), backed by a binary heap. The zero value is ready to
-// use.
+// (At, Kind, Proc, Seq), backed by a binary heap. The zero value is ready
+// to use.
 //
 // It is the reference implementation: CalendarQueue (the default Queue) must
 // pop byte-identical event sequences, and the differential tests in this
@@ -119,7 +108,7 @@ func (q *HeapQueue) PeekAt(t Time) (Event, bool) {
 }
 
 // PopTick removes every pending event at the earliest tick, appends them to
-// dst in (Lane, Kind, Proc, Seq) order, and returns the tick and the extended
+// dst in (Kind, Proc, Seq) order, and returns the tick and the extended
 // slice. It panics on an empty queue. Events pushed at the same tick after
 // PopTick returns are not part of the batch; callers merge them via PeekAt.
 func (q *HeapQueue) PopTick(dst []Event) (Time, []Event) {
@@ -130,40 +119,33 @@ func (q *HeapQueue) PopTick(dst []Event) (Time, []Event) {
 	return t, dst
 }
 
-// PopTickLanes drains the earliest tick like PopTick, documenting the
-// lane-major contract the batched executors rely on: the returned batch is
-// grouped by Lane, and within each lane the events appear in exactly the
-// (Kind, Proc, Seq) order a solo run over a private queue would pop them.
-func (q *HeapQueue) PopTickLanes(dst []Event) (Time, []Event) {
-	return q.PopTick(dst)
-}
-
-// Checkpoint appends every pending event to dst in push (Seq) order and
-// returns the extended slice, without disturbing the queue. Together with
-// ForkFrom it lets a batched executor replicate a shared schedule prefix
-// into additional lanes instead of recomputing it per seed.
-func (q *HeapQueue) Checkpoint(dst []Event) []Event {
-	n0 := len(dst)
-	dst = append(dst, q.h...)
-	slices.SortFunc(dst[n0:], func(a, b Event) int {
-		switch {
-		case a.Seq < b.Seq:
-			return -1
-		case a.Seq > b.Seq:
-			return 1
+// MergeSameTick pops every event still pending at tick now — pushed there by
+// the executor while it drains a PopTick batch — and inserts each into the
+// unprocessed tail batch[bi:] at its (Kind, Proc, Seq) position, so the
+// combined drain order matches what a pop-one-at-a-time loop over a single
+// priority queue would have produced. Returns the (possibly grown) batch.
+//
+// Callers invoke it before processing each batch element, guarded by a
+// PeekAt check, so an event pushed back onto the current tick is interleaved
+// exactly where the full (At, Kind, Proc, Seq) order places it.
+func MergeSameTick(q *Queue, now Time, batch []Event, bi int) []Event {
+	for {
+		if _, ok := q.PeekAt(now); !ok {
+			return batch
 		}
-		return 0
-	})
-	return dst
-}
-
-// ForkFrom pushes a copy of each checkpointed event retagged with lane. The
-// checkpoint is in push order, and Push assigns fresh ascending Seqs, so the
-// forked lane's relative event order matches the checkpointed lane's.
-func (q *HeapQueue) ForkFrom(cp []Event, lane int32) {
-	for _, ev := range cp {
-		ev.Lane = lane
-		q.Push(ev)
+		ev := q.Pop()
+		lo, hi := bi, len(batch)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if SameTickLess(batch[mid], ev) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		batch = append(batch, Event{})
+		copy(batch[lo+1:], batch[lo:])
+		batch[lo] = ev
 	}
 }
 
@@ -195,14 +177,11 @@ func (q *HeapQueue) Reserve(n int) {
 // against either via the sessionheap build tag.
 func (q *HeapQueue) SetWindow(span Duration) {}
 
-// less orders the heap by (At, Lane, Kind, Proc, Seq).
+// less orders the heap by (At, Kind, Proc, Seq).
 func (q *HeapQueue) less(i, j int) bool {
 	a, b := &q.h[i], &q.h[j]
 	if a.At != b.At {
 		return a.At < b.At
-	}
-	if a.Lane != b.Lane {
-		return a.Lane < b.Lane
 	}
 	if a.Kind != b.Kind {
 		return a.Kind < b.Kind

@@ -25,12 +25,11 @@ func (r *RNG) Uint64() uint64 {
 }
 
 // Draws reports how many raw 64-bit values have been drawn since the
-// generator was created. The batched executors use it to detect RNG-free
-// schedule prefixes: if a whole run (or its initial event wave) drew
-// nothing, the trajectory is seed-independent and can be shared or forked
-// across seeds instead of being recomputed. Zero-width draws — code paths
-// like DurationBetween with lo == hi that return without consuming the
-// stream — intentionally do not count.
+// generator was created. The seed-group runner uses it to detect RNG-free
+// runs: if a whole run drew nothing, the trajectory is seed-independent
+// and its result can be shared across seeds instead of being recomputed.
+// Zero-width draws — code paths like DurationBetween with lo == hi that
+// return without consuming the stream — intentionally do not count.
 func (r *RNG) Draws() uint64 { return r.draws }
 
 // Int63n returns a uniform value in [0, n). It panics if n <= 0.

@@ -81,9 +81,9 @@ func (s *Scheduler) Model() Model { return s.model }
 // Deterministic strategies (Slow, Fast, and — for gaps — Skewed and
 // Jittered) resolve without touching the stream, as does DurationBetween on
 // a degenerate range, so a zero Draws after a run proves the whole schedule
-// was seed-independent. The batched executors use that to share one run's
-// result across every seed of a cell, and a zero Draws after the initial
-// event wave to fork the shared prefix into per-seed lanes.
+// was seed-independent: the seed feeds only this stream. The seed-group
+// runner in internal/core uses that to share one run's result across every
+// seed of a cell.
 func (s *Scheduler) Draws() uint64 { return s.rng.Draws() }
 
 // gapRange returns the scheduler's drawing range for step gaps (the

@@ -61,13 +61,17 @@ type Stats struct {
 	// (zero without WithRunCache).
 	CacheHits   int64
 	CacheMisses int64
-	// BatchLanes, BatchForks and BatchFallbacks account the seed-batching
-	// layer (see WithSeedBatching): seeds run through shared lockstep lanes,
-	// runs served from a shared schedule prefix, and seeds that fell back to
-	// solo runs.
-	BatchLanes     int
+	// BatchForks and BatchFallbacks account the seed-batching layer (see
+	// WithSeedBatching): seeds served from a zero-draw probe run's summary,
+	// and seeds that ran solo after a probe that drew (or in a fault
+	// sweep's faulted group).
 	BatchForks     int
 	BatchFallbacks int
+	// BatchLanes always reads zero: seed groups no longer run through
+	// lockstep lanes.
+	//
+	// Deprecated: kept so existing readers compile; nothing sets it.
+	BatchLanes int
 }
 
 // settings is the resolved configuration an API call runs with.
@@ -228,7 +232,6 @@ func statsOf(eng *engine.Engine) Stats {
 		Steps: es.Counts.Steps, Sessions: es.Counts.Sessions, Messages: es.Counts.Messages,
 		Faults:    es.Counts.Faults,
 		CacheHits: es.CacheHits, CacheMisses: es.CacheMisses,
-		BatchLanes:     es.Counts.BatchLanes,
 		BatchForks:     es.Counts.BatchForks,
 		BatchFallbacks: es.Counts.BatchFallbacks,
 	}
@@ -293,12 +296,13 @@ func WithParallelism(n int) Option {
 	return func(cfg *settings) { cfg.parallelism = n }
 }
 
-// WithSeedBatching toggles lockstep seed batching (default on): the seeds of
-// each (cell, strategy) group run through one shared calendar queue in
-// per-seed lanes, with provably seed-independent schedule prefixes computed
-// once and forked across lanes. Results are byte-identical either way — the
-// toggle trades the batched mode's throughput for per-run observer
-// granularity (batched calls report one Observation per seed group).
+// WithSeedBatching toggles seed batching (default on): the seeds of each
+// (cell, strategy) group run as one task, and when the group's first seed
+// runs without drawing a random value its result serves every seed — the
+// seed feeds only that RNG, so the schedule cannot depend on it. Otherwise
+// each seed runs on its own. Results are byte-identical either way — the
+// toggle trades the shared runs for per-run observer granularity (batched
+// calls report one Observation per seed group).
 func WithSeedBatching(on bool) Option {
 	return func(cfg *settings) { cfg.noSeedBatch = !on }
 }

@@ -24,10 +24,10 @@ func renderTable1(t *testing.T, opts ...sessionproblem.Option) ([]byte, sessionp
 	return data, res.Stats
 }
 
-// TestSeedBatchingGolden is the golden determinism gate for the batched
-// executor: the full Table-1 matrix must produce byte-identical wire output
-// batched and sequential, at parallelism 1 and N, and on a cache-warm
-// repeat — while the stats confirm the batch layer actually ran.
+// TestSeedBatchingGolden is the golden determinism gate for seed batching:
+// the full Table-1 matrix must produce byte-identical wire output batched
+// and sequential, at parallelism 1 and N, and on a cache-warm repeat —
+// while the stats confirm the batched groups actually shared runs.
 func TestSeedBatchingGolden(t *testing.T) {
 	base := []sessionproblem.Option{
 		sessionproblem.WithSpec(2, 3),
@@ -35,7 +35,7 @@ func TestSeedBatchingGolden(t *testing.T) {
 	}
 	seq, seqStats := renderTable1(t, append(base,
 		sessionproblem.WithSeedBatching(false), sessionproblem.WithParallelism(1))...)
-	if seqStats.BatchLanes+seqStats.BatchForks+seqStats.BatchFallbacks != 0 {
+	if seqStats.BatchForks+seqStats.BatchFallbacks != 0 {
 		t.Errorf("sequential mode reported batch activity: %+v", seqStats)
 	}
 	for _, par := range []int{1, 8} {
@@ -44,8 +44,8 @@ func TestSeedBatchingGolden(t *testing.T) {
 		if !bytes.Equal(got, seq) {
 			t.Errorf("batched output at parallelism %d differs from sequential:\nbatched:    %s\nsequential: %s", par, got, seq)
 		}
-		if stats.BatchLanes+stats.BatchForks == 0 {
-			t.Errorf("batched mode at parallelism %d did no batching: %+v", par, stats)
+		if stats.BatchForks == 0 {
+			t.Errorf("batched mode at parallelism %d shared no runs: %+v", par, stats)
 		}
 	}
 
@@ -60,7 +60,7 @@ func TestSeedBatchingGolden(t *testing.T) {
 	if !bytes.Equal(cold, seq) {
 		t.Errorf("cached batched output differs from sequential")
 	}
-	if warmStats.BatchLanes+warmStats.BatchForks+warmStats.BatchFallbacks != 0 {
+	if warmStats.BatchForks+warmStats.BatchFallbacks != 0 {
 		t.Errorf("cache-warm call reported batch activity: %+v", warmStats)
 	}
 	if warmStats.CacheHits == 0 {
