@@ -113,7 +113,8 @@ func BenchmarkTable1AsyncMP(b *testing.B) {
 
 // seqBaseline routes the BenchmarkBatchTable1* benches through the
 // sequential per-seed path instead of the seed-group runner, so the
-// before/after columns of BENCH_9.json come from the same workload:
+// before/after columns of BENCH_9.json come from the same workload. Both
+// paths run trace-free, so the columns differ only in batching:
 //
 //	go test -bench BenchmarkBatchTable1 -seqbaseline .   # before
 //	go test -bench BenchmarkBatchTable1 .                # after
@@ -137,7 +138,7 @@ func benchBatchSM(b *testing.B, alg core.SMAlgorithm, m timing.Model, st timing.
 	for i := 0; i < b.N; i++ {
 		if *seqBaseline {
 			for _, seed := range seeds {
-				if _, err := core.RunSMScratch(ctx, alg, spec, m, st, seed, rs); err != nil {
+				if _, err := core.RunSMStream(ctx, alg, spec, m, st, seed, rs, core.StreamOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -162,7 +163,7 @@ func benchBatchMP(b *testing.B, alg core.MPAlgorithm, m timing.Model, st timing.
 	for i := 0; i < b.N; i++ {
 		if *seqBaseline {
 			for _, seed := range seeds {
-				if _, err := core.RunMPScratch(ctx, alg, spec, m, st, seed, rs); err != nil {
+				if _, err := core.RunMPStream(ctx, alg, spec, m, st, seed, rs, core.StreamOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -248,10 +248,6 @@ type request struct {
 	Cmaxs       []int64  `json:"cmaxs,omitempty"`
 	Topos       []string `json:"topos,omitempty"`
 
-	// StreamCertify verifies each run with the streaming certifier
-	// (O(ports) memory); results are byte-identical either way.
-	StreamCertify bool `json:"streamCertify,omitempty"`
-
 	// Solve-only.
 	Model    string `json:"model,omitempty"`
 	Comm     string `json:"comm,omitempty"`
@@ -311,9 +307,6 @@ func (s *server) options(rq request) []sessionproblem.Option {
 	}
 	if len(rq.Topos) > 0 {
 		opts = append(opts, sessionproblem.WithTopologies(rq.Topos...))
-	}
-	if rq.StreamCertify {
-		opts = append(opts, sessionproblem.WithStreamCertify())
 	}
 	return opts
 }

@@ -87,33 +87,6 @@ func TestTable1MatchesLibrary(t *testing.T) {
 	}
 }
 
-// A streaming-certified request must answer with the exact bytes of the
-// materialized path: the certifier changes the memory ceiling, never the
-// result.
-func TestStreamCertifiedTable1ByteIdentical(t *testing.T) {
-	ts := newTestServer(t, "")
-	status, want := post(t, ts, "/v1/table1", smallBody)
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, want)
-	}
-	// A fresh server, so the answer is computed (not cache-served) under
-	// the streaming certifier.
-	ts2 := newTestServer(t, "")
-	var streamBody string
-	if strings.HasSuffix(smallBody, "}") {
-		streamBody = strings.TrimSuffix(smallBody, "}") + `,"streamCertify":true}`
-	} else {
-		t.Fatalf("smallBody %q is not a JSON object", smallBody)
-	}
-	status, got := post(t, ts2, "/v1/table1", streamBody)
-	if status != http.StatusOK {
-		t.Fatalf("streaming status %d: %s", status, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("streaming certification changed response bytes:\nstream: %s\nplain:  %s", got, want)
-	}
-}
-
 func TestStatsMemBlock(t *testing.T) {
 	ts := newTestServer(t, "")
 	// Exercise a run first so the heap numbers describe a working daemon.
@@ -291,6 +264,8 @@ func TestBadRequests(t *testing.T) {
 		status     int
 	}{
 		{"/v1/table1", `{"bogus":1}`, http.StatusBadRequest},
+		// The streaming-certification field is gone: now an unknown field.
+		{"/v1/table1", `{"s":2,"n":2,"seeds":2,"streamCertify":true}`, http.StatusBadRequest},
 		{"/v1/table1", `not json`, http.StatusBadRequest},
 		{"/v1/sweep", `{"kind":"warp-drive"}`, http.StatusBadRequest},
 		{"/v1/sweep", `{"kind":"periodic-vs-sporadic"}`, http.StatusUnprocessableEntity}, // needs cmaxs

@@ -1,15 +1,18 @@
-// Package certify counts disjoint sessions, rounds and timing statistics
-// online, one executor step at a time, so large-n runs never materialize
-// Trace.Steps. A Counter plugs into the executors' observer hooks
-// (sm.Options.Observer / mp.Options.Observer + DelayObserver) and replicates
-// exactly the greedy decompositions of model.Trace.CountSessions,
-// model.Trace.CountRounds, model.Trace.Gamma and trace.Sessions, plus the
-// streaming admissibility check of timing.Checker — all in O(processes)
-// memory. Golden tests in the core package prove byte-identity against the
-// materialized path at small n.
+// Package certify verifies runs online, one executor step at a time: it is
+// the certifier behind every verified run in internal/core, whether or not
+// the run also records its trace. A Counter plugs into the executors'
+// observer hooks (sm.Options.Observer / mp.Options.Observer + DelayObserver)
+// and replicates exactly the greedy decompositions of
+// model.Trace.CountSessions, model.Trace.CountRounds, model.Trace.Gamma and
+// trace.Sessions, model.Trace.Validate's per-step checks, and — through a
+// timing.Checker — the admissibility verdicts of timing.Model.CheckAdmissible
+// and AdmissibilityViolations, all in O(processes) memory.
+// FuzzCounterMatchesTrace holds it to those trace methods.
 package certify
 
 import (
+	"fmt"
+
 	"sessionproblem/internal/model"
 	"sessionproblem/internal/sim"
 	"sessionproblem/internal/timing"
@@ -41,6 +44,8 @@ type Counter struct {
 	gamma sim.Duration
 
 	steps   int
+	prev    sim.Time // time of the previous step, for ValidateStep
+	invalid error    // first model.ValidateStep failure
 	checker *timing.Checker
 }
 
@@ -57,10 +62,17 @@ func New(numProcs, numPorts int) *Counter {
 }
 
 // CheckAdmissibility additionally verifies every observed step gap and
-// message delay against m, streaming (timing.Checker). The first violation
-// is reported by Err.
+// message delay against m with a fail-fast timing.Checker. Err reports the
+// first violation.
 func (c *Counter) CheckAdmissibility(m timing.Model) *Counter {
 	c.checker = m.NewChecker(c.numProcs)
+	return c
+}
+
+// CollectViolations is CheckAdmissibility with a collecting checker, for
+// audited runs: Violations lists every violation.
+func (c *Counter) CollectViolations(m timing.Model) *Counter {
+	c.checker = m.NewCollectingChecker(c.numProcs)
 	return c
 }
 
@@ -68,6 +80,10 @@ var _ model.StepObserver = (*Counter)(nil)
 
 // ObserveStep consumes one executed step.
 func (c *Counter) ObserveStep(s model.Step) {
+	if c.invalid == nil {
+		c.invalid = model.ValidateStep(&s, c.steps, c.prev, c.numProcs, c.numPorts)
+		c.prev = s.Time
+	}
 	c.steps++
 	if c.checker != nil {
 		c.checker.ObserveStep(s)
@@ -138,11 +154,30 @@ func (c *Counter) Steps() int { return c.steps }
 // The slice is owned by the counter.
 func (c *Counter) Spans() []trace.SessionSpan { return c.spans }
 
-// Err returns the first admissibility violation observed, or nil (always nil
-// unless CheckAdmissibility was enabled).
+// Err returns what timing.Model.CheckAdmissible would for the observed
+// stream: a malformed step first ("trace invalid: …"), else the checker's
+// first violation, else nil. Without an attached checker only malformed
+// steps are reported.
 func (c *Counter) Err() error {
+	if c.invalid != nil {
+		return fmt.Errorf("trace invalid: %w", c.invalid)
+	}
 	if c.checker == nil {
 		return nil
 	}
 	return c.checker.Err()
+}
+
+// Violations returns what timing.Model.AdmissibilityViolations would for the
+// observed stream: a single "trace invalid" entry for a malformed stream,
+// else every violation a CollectViolations checker recorded (nil when there
+// were none).
+func (c *Counter) Violations() []string {
+	if c.invalid != nil {
+		return []string{fmt.Sprintf("trace invalid: %v", c.invalid)}
+	}
+	if c.checker == nil {
+		return nil
+	}
+	return c.checker.Violations()
 }

@@ -35,12 +35,11 @@ type Problem struct {
 
 // Exec holds the shared execution flags.
 type Exec struct {
-	Seeds         int
-	Parallelism   int
-	Timeout       time.Duration
-	CacheDir      string
-	SeedBatching  bool
-	StreamCertify bool
+	Seeds        int
+	Parallelism  int
+	Timeout      time.Duration
+	CacheDir     string
+	SeedBatching bool
 	// Topo is the comma-separated topology family list for the
 	// network-diameter sweep; empty keeps the paper's fixed four.
 	Topo string
@@ -85,7 +84,6 @@ func RegisterExec(fs *flag.FlagSet) *Exec {
 	fs.DurationVar(&e.Timeout, "timeout", 0, "wall-clock bound for the whole invocation (0 = none)")
 	fs.StringVar(&e.CacheDir, "cache-dir", "", "directory for the disk-persistent run cache (empty = no disk cache)")
 	fs.BoolVar(&e.SeedBatching, "seed-batching", true, "run each cell's seeds as one group that shares a run when its schedule draws no random value; output is identical either way")
-	fs.BoolVar(&e.StreamCertify, "stream-certify", false, "verify runs with the streaming certifier (O(ports) memory); output is identical either way")
 	fs.StringVar(&e.Topo, "topo", "", "comma-separated topology families for the network-diameter sweep (default complete,star,ring,line; also grid,torus,expander,random-regular)")
 	return e
 }
@@ -234,7 +232,6 @@ func (p *Problem) HarnessConfig(e *Exec, eng *engine.Engine) harness.Config {
 	cfg.Parallelism = e.Parallelism
 	cfg.Engine = eng
 	cfg.NoSeedBatch = !e.SeedBatching
-	cfg.StreamCertify = e.StreamCertify
 	return cfg
 }
 
@@ -254,9 +251,6 @@ func Options(p *Problem, e *Exec) []sessionproblem.Option {
 		sessionproblem.WithTimeout(e.Timeout),
 		sessionproblem.WithCacheDir(e.CacheDir),
 		sessionproblem.WithSeedBatching(e.SeedBatching),
-	}
-	if e.StreamCertify {
-		opts = append(opts, sessionproblem.WithStreamCertify())
 	}
 	if topos := e.Topologies(); len(topos) > 0 {
 		opts = append(opts, sessionproblem.WithTopologies(topos...))

@@ -77,18 +77,19 @@ func runSeedGroup(ctx context.Context, m timing.Model, st timing.Strategy, seeds
 	return out, stats, nil
 }
 
-// BatchRunSM runs one shared-memory seed group through runSeedGroup. The
-// summaries are byte-identical to what RunSMScratch would produce per seed.
+// BatchRunSM runs one shared-memory seed group through runSeedGroup,
+// trace-free. The summaries are byte-identical to what RunSMStream (or any
+// other solo runner) would produce per seed.
 func BatchRunSM(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seeds []uint64, rs *RunScratch) ([]*RunSummary, BatchStats, error) {
 	return runSeedGroup(ctx, m, st, seeds, func(i int, sched *timing.Scheduler) (*Report, error) {
-		return runSM(ctx, alg, spec, m, sched, st, seeds[i], rs)
+		return runSM(ctx, alg, spec, m, sched, st, seeds[i], rs, StreamOptions{}, false)
 	})
 }
 
 // BatchRunMP is BatchRunSM for message-passing seed groups.
 func BatchRunMP(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seeds []uint64, rs *RunScratch) ([]*RunSummary, BatchStats, error) {
 	return runSeedGroup(ctx, m, st, seeds, func(i int, sched *timing.Scheduler) (*Report, error) {
-		return runMP(ctx, alg, spec, m, sched, st, seeds[i], rs)
+		return runMP(ctx, alg, spec, m, sched, st, seeds[i], rs, StreamOptions{}, false)
 	})
 }
 

@@ -50,8 +50,9 @@ type RunSummary struct {
 }
 
 // Summarize digests a report into a cache-safe summary: all scalars are
-// copied, the violations slice is cloned, and the session spans are computed
-// eagerly while the trace is still valid.
+// copied, the violations slice is cloned, and the session spans are taken
+// from the trace while it is still valid when the report has one, else
+// copied from the certifier's decomposition.
 func Summarize(rep *Report) *RunSummary {
 	sum := &RunSummary{
 		Algorithm: rep.Algorithm,
@@ -70,7 +71,7 @@ func Summarize(rep *Report) *RunSummary {
 	if rep.Trace != nil {
 		sum.Spans = trace.Sessions(rep.Trace)
 	} else {
-		// Streaming run: the certifier computed the decomposition online.
+		// Trace-free run: the certifier computed the decomposition online.
 		// Copied because the summary must not alias the counter's buffer.
 		sum.Spans = append([]trace.SessionSpan(nil), rep.Spans...)
 	}

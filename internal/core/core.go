@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sessionproblem/internal/certify"
 	"sessionproblem/internal/fault"
 	"sessionproblem/internal/model"
 	"sessionproblem/internal/mp"
@@ -71,7 +72,9 @@ type Report struct {
 	// Spec is the problem instance.
 	Spec Spec
 
-	// Trace is the recorded timed computation.
+	// Trace is the recorded timed computation. Only RunSM, RunSMContext,
+	// RunSMScratch and their MP twins record it, for callers that print or
+	// inspect the steps; every other runner leaves it nil.
 	Trace *model.Trace
 	// Finish is the running time: the time by which every port process is
 	// idle.
@@ -95,11 +98,10 @@ type Report struct {
 	// order. Nil for fault-free runs.
 	Faults []fault.Event
 
-	// NumSteps and Spans carry the step count and the greedy session
-	// decomposition for streaming runs (RunSMStream, RunMPStream), which
-	// leave Trace nil: the certifier counts online and the computation is
-	// never materialized. Zero/nil on trace-materializing paths, where
-	// Steps() and trace.Sessions read the trace instead.
+	// NumSteps and Spans carry the online certifier's step count and greedy
+	// session decomposition; every core runner fills them. A Report built
+	// around a recorded trace without a certifier may leave them zero, and
+	// Steps() and Summarize then read the trace.
 	NumSteps int
 	Spans    []trace.SessionSpan
 }
@@ -109,8 +111,7 @@ type Report struct {
 var ErrTooFewSessions = errors.New("core: fewer than s disjoint sessions")
 
 // Steps is the number of process steps in the computation: the recorded
-// trace length, or the streaming certifier's count when no trace was
-// materialized.
+// trace length when there is a trace, else the certifier's count.
 func (r *Report) Steps() int {
 	if r == nil {
 		return 0
@@ -121,8 +122,16 @@ func (r *Report) Steps() int {
 	return len(r.Trace.Steps)
 }
 
+// StreamOptions tune a trace-free run.
+type StreamOptions struct {
+	// MaxSteps caps executor steps (0 = the executor default of 1e6).
+	// Large-n runs need a higher cap: step counts grow with n · s · depth.
+	MaxSteps int
+}
+
 // RunSM executes alg under model m with the given strategy and seed, then
-// verifies admissibility and the session condition.
+// verifies admissibility and the session condition. The Report carries the
+// recorded trace.
 func RunSM(alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64) (*Report, error) {
 	return RunSMContext(context.Background(), alg, spec, m, st, seed)
 }
@@ -130,50 +139,45 @@ func RunSM(alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed 
 // RunSMContext is RunSM with cooperative cancellation threaded through the
 // shared-memory executor.
 func RunSMContext(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64) (*Report, error) {
-	return runSM(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, nil)
+	return runSM(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, nil, StreamOptions{}, true)
 }
 
-// runSM is the verified shared-memory runner. The caller builds the
+// RunSMStream is RunSMScratch without the trace: the executor records no
+// steps, so memory stays O(ports) however many steps the run takes. Every
+// other field, and any verification error, is what the traced runners
+// report.
+func RunSMStream(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64, rs *RunScratch, so StreamOptions) (*Report, error) {
+	return runSM(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, rs, so, false)
+}
+
+// runSM is the one verified shared-memory runner. The caller builds the
 // scheduler for seed, so the seed-group layer can read its draw count
-// afterwards.
-func runSM(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, sched *timing.Scheduler, st timing.Strategy, seed uint64, rs *RunScratch) (*Report, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	sys, err := alg.BuildSM(spec, m)
+// afterwards. An online certifier checks every step as the executor
+// produces it; keepTrace additionally records the steps into Report.Trace.
+func runSM(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, sched *timing.Scheduler, st timing.Strategy, seed uint64, rs *RunScratch, so StreamOptions, keepTrace bool) (*Report, error) {
+	sys, err := buildSM(alg, spec, m)
 	if err != nil {
-		return nil, fmt.Errorf("build %s: %w", alg.Name(), err)
+		return nil, err
 	}
-	res, err := sm.RunContext(ctx, sys, sched, smOptions(spec, m, rs))
+	ctr := certify.New(len(sys.Procs), len(sys.Ports)).CheckAdmissibility(m)
+	opts := smOptions(spec, m, rs)
+	opts.MaxSteps = so.MaxSteps
+	opts.Observer = ctr
+	opts.DiscardSteps = !keepTrace
+	res, err := sm.RunContext(ctx, sys, sched, opts)
 	if err != nil {
 		return nil, fmt.Errorf("run %s under %v: %w", alg.Name(), m.Kind, err)
 	}
-	rep := &Report{
-		Algorithm: alg.Name(),
-		Model:     m.Kind,
-		Spec:      spec,
-		Trace:     res.Trace,
-		Finish:    res.Finish,
-		Sessions:  res.Trace.CountSessions(),
-		Rounds:    res.Trace.CountRounds(),
-		Gamma:     res.Trace.Gamma(),
+	rep := certified(alg.Name(), spec, m, res.Finish, ctr)
+	if keepTrace {
+		rep.Trace = res.Trace
 	}
-	if err := m.CheckAdmissible(res.Trace, nil); err != nil {
-		return rep, fmt.Errorf("core: inadmissible computation: %w", err)
-	}
-	if rep.Sessions < spec.S {
-		return rep, fmt.Errorf("%w: got %d, need %d (alg %s, model %v, strategy %v, seed %d)",
-			ErrTooFewSessions, rep.Sessions, spec.S, alg.Name(), m.Kind, st, seed)
-	}
-	return rep, nil
+	return verify(rep, ctr, st, seed)
 }
 
 // RunMP executes alg under model m with the given strategy and seed, then
 // verifies admissibility (including message delays) and the session
-// condition.
+// condition. The Report carries the recorded trace.
 func RunMP(alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64) (*Report, error) {
 	return RunMPContext(context.Background(), alg, spec, m, st, seed)
 }
@@ -181,42 +185,94 @@ func RunMP(alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed 
 // RunMPContext is RunMP with cooperative cancellation threaded through the
 // message-passing executor.
 func RunMPContext(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64) (*Report, error) {
-	return runMP(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, nil)
+	return runMP(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, nil, StreamOptions{}, true)
 }
 
-// runMP is the verified message-passing runner; see runSM.
-func runMP(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, sched *timing.Scheduler, st timing.Strategy, seed uint64, rs *RunScratch) (*Report, error) {
-	if err := spec.Validate(); err != nil {
+// RunMPStream is RunSMStream for message-passing algorithms.
+func RunMPStream(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64, rs *RunScratch, so StreamOptions) (*Report, error) {
+	return runMP(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, rs, so, false)
+}
+
+// runMP is the one verified message-passing runner; see runSM. The
+// certifier additionally observes every message delay.
+func runMP(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, sched *timing.Scheduler, st timing.Strategy, seed uint64, rs *RunScratch, so StreamOptions, keepTrace bool) (*Report, error) {
+	sys, err := buildMP(alg, spec, m)
+	if err != nil {
 		return nil, err
 	}
-	if err := m.Validate(); err != nil {
+	ctr := certify.New(len(sys.Procs), len(sys.PortProcs)).CheckAdmissibility(m)
+	opts := mpOptions(spec, m, rs)
+	opts.MaxSteps = so.MaxSteps
+	opts.Observer = ctr
+	opts.DelayObserver = ctr
+	opts.DiscardSteps = !keepTrace
+	res, err := mp.RunContext(ctx, sys, sched, opts)
+	if err != nil {
+		return nil, fmt.Errorf("run %s under %v: %w", alg.Name(), m.Kind, err)
+	}
+	rep := certified(alg.Name(), spec, m, res.Finish, ctr)
+	rep.Messages = res.MessagesSent
+	if keepTrace {
+		rep.Trace = res.Trace
+	}
+	return verify(rep, ctr, st, seed)
+}
+
+// buildSM validates the spec and model and builds alg's system.
+func buildSM(alg SMAlgorithm, spec Spec, m timing.Model) (*sm.System, error) {
+	if err := validate(spec, m); err != nil {
+		return nil, err
+	}
+	sys, err := alg.BuildSM(spec, m)
+	if err != nil {
+		return nil, fmt.Errorf("build %s: %w", alg.Name(), err)
+	}
+	return sys, nil
+}
+
+// buildMP is buildSM for message-passing algorithms.
+func buildMP(alg MPAlgorithm, spec Spec, m timing.Model) (*mp.System, error) {
+	if err := validate(spec, m); err != nil {
 		return nil, err
 	}
 	sys, err := alg.BuildMP(spec, m)
 	if err != nil {
 		return nil, fmt.Errorf("build %s: %w", alg.Name(), err)
 	}
-	res, err := mp.RunContext(ctx, sys, sched, mpOptions(spec, m, rs))
-	if err != nil {
-		return nil, fmt.Errorf("run %s under %v: %w", alg.Name(), m.Kind, err)
+	return sys, nil
+}
+
+func validate(spec Spec, m timing.Model) error {
+	if err := spec.Validate(); err != nil {
+		return err
 	}
-	rep := &Report{
-		Algorithm: alg.Name(),
+	return m.Validate()
+}
+
+// certified builds a run's report from its online certifier.
+func certified(alg string, spec Spec, m timing.Model, finish sim.Time, ctr *certify.Counter) *Report {
+	return &Report{
+		Algorithm: alg,
 		Model:     m.Kind,
 		Spec:      spec,
-		Trace:     res.Trace,
-		Finish:    res.Finish,
-		Sessions:  res.Trace.CountSessions(),
-		Rounds:    res.Trace.CountRounds(),
-		Gamma:     res.Trace.Gamma(),
-		Messages:  res.MessagesSent,
+		Finish:    finish,
+		Sessions:  ctr.Sessions(),
+		Rounds:    ctr.Rounds(),
+		Gamma:     ctr.Gamma(),
+		NumSteps:  ctr.Steps(),
+		Spans:     ctr.Spans(),
 	}
-	if err := m.CheckAdmissible(res.Trace, res.Delays); err != nil {
+}
+
+// verify fails a plain run on the certifier's admissibility verdict, then on
+// the session condition; the report rides along either way.
+func verify(rep *Report, ctr *certify.Counter, st timing.Strategy, seed uint64) (*Report, error) {
+	if err := ctr.Err(); err != nil {
 		return rep, fmt.Errorf("core: inadmissible computation: %w", err)
 	}
-	if rep.Sessions < spec.S {
+	if rep.Sessions < rep.Spec.S {
 		return rep, fmt.Errorf("%w: got %d, need %d (alg %s, model %v, strategy %v, seed %d)",
-			ErrTooFewSessions, rep.Sessions, spec.S, alg.Name(), m.Kind, st, seed)
+			ErrTooFewSessions, rep.Sessions, rep.Spec.S, rep.Algorithm, rep.Model, st, seed)
 	}
 	return rep, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sessionproblem/internal/certify"
 	"sessionproblem/internal/fault"
 	"sessionproblem/internal/mp"
 	"sessionproblem/internal/sm"
@@ -22,8 +23,8 @@ type FaultRun struct {
 	// want a cap well below the executor default of 1_000_000. Zero keeps
 	// the executor default.
 	MaxSteps int
-	// Scratch, when non-nil, backs the run with reusable executor buffers;
-	// the resulting Report then follows the RunScratch ownership contract.
+	// Scratch, when non-nil, backs the run with reusable executor buffers.
+	// Faulted runs record no trace, so the Report never aliases it.
 	Scratch *RunScratch
 }
 
@@ -32,41 +33,26 @@ type FaultRun struct {
 // when every port process happened to idle first.
 const noTerminationNote = "step cap reached before every process idled"
 
-func degrade(aud *fault.Audit) {
-	if aud.FirstViolation == "" {
-		aud.FirstViolation = aud.Violations[0]
-	}
-	if aud.Verdict == fault.VerdictAdmissible {
-		aud.Verdict = fault.VerdictRecovered
-	}
-}
-
 // RunSMFaulted executes alg under model m with faults injected by fr and
 // audits the outcome instead of failing it: inadmissible timing, missing
 // sessions and fault-induced non-termination all land in Report.Audit with
 // a nil error. Hard errors (invalid spec or model, build failures, context
 // cancellation, executor invariant violations) are still returned as errors.
+// The run is certified online and its Report carries no trace.
 func RunSMFaulted(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64, fr FaultRun) (*Report, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	sys, err := alg.BuildSM(spec, m)
+	sys, err := buildSM(alg, spec, m)
 	if err != nil {
-		return nil, fmt.Errorf("build %s: %w", alg.Name(), err)
+		return nil, err
 	}
+	ctr := certify.New(len(sys.Procs), len(sys.Ports)).CollectViolations(m)
 	opts := smOptions(spec, m, fr.Scratch)
 	opts.MaxSteps = fr.MaxSteps
 	opts.Injector = fr.Injector
+	opts.Observer = ctr
+	opts.DiscardSteps = true
 	res, err := sm.RunContext(ctx, sys, m.NewScheduler(st, seed), opts)
-	noTerm := false
-	if err != nil {
-		if res == nil || !errors.Is(err, sm.ErrNoTermination) {
-			return nil, fmt.Errorf("run %s under %v: %w", alg.Name(), m.Kind, err)
-		}
-		noTerm = true
+	if err != nil && (res == nil || !errors.Is(err, sm.ErrNoTermination)) {
+		return nil, fmt.Errorf("run %s under %v: %w", alg.Name(), m.Kind, err)
 	}
 	portsIdle := true
 	for _, pb := range sys.Ports {
@@ -74,27 +60,14 @@ func RunSMFaulted(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Mode
 			portsIdle = false
 		}
 	}
-	rep := &Report{
-		Algorithm: alg.Name(),
-		Model:     m.Kind,
-		Spec:      spec,
-		Trace:     res.Trace,
-		Finish:    res.Finish,
-		Sessions:  res.Trace.CountSessions(),
-		Rounds:    res.Trace.CountRounds(),
-		Gamma:     res.Trace.Gamma(),
-		Faults:    res.Faults,
-	}
-	rep.Audit = fault.AuditTrace(m, res.Trace, nil, spec.S, portsIdle, res.Faults)
-	if noTerm {
-		rep.Audit.Violations = append(rep.Audit.Violations, noTerminationNote)
-		degrade(&rep.Audit)
-	}
+	rep := certified(alg.Name(), spec, m, res.Finish, ctr)
+	rep.Faults = res.Faults
+	rep.Audit = audit(ctr, spec.S, portsIdle, res.Faults, err != nil)
 	return rep, nil
 }
 
-// RunMPFaulted is RunSMFaulted for message-passing algorithms; recorded
-// message delays (including late and duplicated deliveries) feed the audit.
+// RunMPFaulted is RunSMFaulted for message-passing algorithms; message
+// delays (including late and duplicated deliveries) feed the audit.
 func RunMPFaulted(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64, fr FaultRun) (*Report, error) {
 	return runMPFaultedSched(ctx, alg, spec, m, m.NewScheduler(st, seed), fr)
 }
@@ -102,26 +75,20 @@ func RunMPFaulted(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Mode
 // runMPFaultedSched is RunMPFaulted with a caller-supplied scheduler, letting
 // the seed-group layer read its draw count afterwards; see runSM.
 func runMPFaultedSched(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, sched *timing.Scheduler, fr FaultRun) (*Report, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	sys, err := alg.BuildMP(spec, m)
+	sys, err := buildMP(alg, spec, m)
 	if err != nil {
-		return nil, fmt.Errorf("build %s: %w", alg.Name(), err)
+		return nil, err
 	}
+	ctr := certify.New(len(sys.Procs), len(sys.PortProcs)).CollectViolations(m)
 	opts := mpOptions(spec, m, fr.Scratch)
 	opts.MaxSteps = fr.MaxSteps
 	opts.Injector = fr.Injector
+	opts.Observer = ctr
+	opts.DelayObserver = ctr
+	opts.DiscardSteps = true
 	res, err := mp.RunContext(ctx, sys, sched, opts)
-	noTerm := false
-	if err != nil {
-		if res == nil || !errors.Is(err, mp.ErrNoTermination) {
-			return nil, fmt.Errorf("run %s under %v: %w", alg.Name(), m.Kind, err)
-		}
-		noTerm = true
+	if err != nil && (res == nil || !errors.Is(err, mp.ErrNoTermination)) {
+		return nil, fmt.Errorf("run %s under %v: %w", alg.Name(), m.Kind, err)
 	}
 	portsIdle := true
 	for _, pp := range sys.PortProcs {
@@ -129,22 +96,19 @@ func runMPFaultedSched(ctx context.Context, alg MPAlgorithm, spec Spec, m timing
 			portsIdle = false
 		}
 	}
-	rep := &Report{
-		Algorithm: alg.Name(),
-		Model:     m.Kind,
-		Spec:      spec,
-		Trace:     res.Trace,
-		Finish:    res.Finish,
-		Sessions:  res.Trace.CountSessions(),
-		Rounds:    res.Trace.CountRounds(),
-		Gamma:     res.Trace.Gamma(),
-		Messages:  res.MessagesSent,
-		Faults:    res.Faults,
-	}
-	rep.Audit = fault.AuditTrace(m, res.Trace, res.Delays, spec.S, portsIdle, res.Faults)
-	if noTerm {
-		rep.Audit.Violations = append(rep.Audit.Violations, noTerminationNote)
-		degrade(&rep.Audit)
-	}
+	rep := certified(alg.Name(), spec, m, res.Finish, ctr)
+	rep.Messages = res.MessagesSent
+	rep.Faults = res.Faults
+	rep.Audit = audit(ctr, spec.S, portsIdle, res.Faults, err != nil)
 	return rep, nil
+}
+
+// audit classifies a fault-aware run from its certifier; capped marks a run
+// the step cap cut short.
+func audit(ctr *certify.Counter, s int, portsIdle bool, faults []fault.Event, capped bool) fault.Audit {
+	violations := ctr.Violations()
+	if capped {
+		violations = append(violations, noTerminationNote)
+	}
+	return fault.Classify(ctr.Sessions(), s, portsIdle, faults, violations)
 }

@@ -12,13 +12,14 @@ import (
 // worker can hold one reusable object regardless of which runner it calls.
 // The zero value is ready to use.
 //
-// Ownership follows the executor contract: a Report produced with a given
-// RunScratch aliases its memory (Trace.Steps, access records, delay logs,
-// IdleAt, Crashed) and is valid only until the next run with the same
-// scratch. Callers that retain Reports across runs — anything returning
-// traces to users — must run without a scratch. Aggregating callers that
-// read only scalars per run (the harness sweeps) reuse one scratch per
-// worker for the whole sweep.
+// Ownership follows the executor contract, and only the traced runners
+// expose it: a Report from RunSMScratch or RunMPScratch aliases the
+// scratch's memory through Trace.Steps and its access records, and is valid
+// only until the next run with the same scratch. Callers that retain such
+// Reports across runs — anything returning traces to users — must run
+// without a scratch. Every other runner returns a nil Trace, so its Report
+// never aliases the scratch; aggregating callers (the harness sweeps) reuse
+// one scratch per worker for the whole sweep.
 type RunScratch struct {
 	SM sm.Scratch
 	MP mp.Scratch
@@ -35,13 +36,13 @@ func expectedMPDelays(spec Spec) int { return spec.S*spec.N*spec.N + 128 }
 // RunSMScratch is RunSMContext backed by a reusable scratch. A nil scratch
 // is equivalent to RunSMContext.
 func RunSMScratch(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64, rs *RunScratch) (*Report, error) {
-	return runSM(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, rs)
+	return runSM(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, rs, StreamOptions{}, true)
 }
 
 // RunMPScratch is RunMPContext backed by a reusable scratch. A nil scratch
 // is equivalent to RunMPContext.
 func RunMPScratch(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64, rs *RunScratch) (*Report, error) {
-	return runMP(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, rs)
+	return runMP(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, rs, StreamOptions{}, true)
 }
 
 func smOptions(spec Spec, m timing.Model, rs *RunScratch) sm.Options {

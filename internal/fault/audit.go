@@ -71,13 +71,29 @@ func (a Audit) Held() bool { return a.Verdict != VerdictBroken }
 // executor never produces this; the robustness sweeps assert it stays zero.
 func (a Audit) Silent() bool { return a.Verdict == VerdictBroken && len(a.Violations) == 0 }
 
-// AuditTrace classifies one computation. tr and delays are the executor's
-// recorded outputs, sRequired is the spec's s, portsIdle reports whether
-// every port process idled (false for runs cut short by the step cap or by
-// a permanent port crash), and faults is the executor's applied-fault log.
-// A nil trace (run died before producing one) is audited as broken.
+// AuditTrace classifies one recorded computation. tr and delays are the
+// executor's recorded outputs, sRequired is the spec's s, portsIdle reports
+// whether every port process idled (false for runs cut short by the step cap
+// or by a permanent port crash), and faults is the executor's applied-fault
+// log. A nil trace (run died before producing one) has no sessions, so it
+// is audited as broken.
 func AuditTrace(m timing.Model, tr *model.Trace, delays []timing.MessageDelay, sRequired int, portsIdle bool, faults []Event) Audit {
+	if tr == nil {
+		return Classify(0, sRequired, portsIdle, faults, []string{"no trace recorded"})
+	}
+	return Classify(tr.CountSessions(), sRequired, portsIdle, faults, m.AdmissibilityViolations(tr, delays))
+}
+
+// Classify builds the audit of one computation from its parts: sessions is
+// its greedy session count, violations its timing-bound violations in
+// timing.Model.AdmissibilityViolations order (plus any note the runner
+// adds), and faults the executor's applied-fault log, whose events lead the
+// audit's Violations. It is the one home of the verdict rules: AuditTrace
+// classifies recorded traces with it, the fault-aware core runners their
+// online certifier's results.
+func Classify(sessions, sRequired int, portsIdle bool, faults []Event, violations []string) Audit {
 	a := Audit{
+		SessionsAchieved: sessions,
 		SessionsRequired: sRequired,
 		PortsIdle:        portsIdle,
 		FaultsInjected:   len(faults),
@@ -85,22 +101,17 @@ func AuditTrace(m timing.Model, tr *model.Trace, delays []timing.MessageDelay, s
 	for _, ev := range faults {
 		a.Violations = append(a.Violations, ev.String())
 	}
-	if tr == nil {
-		a.Violations = append(a.Violations, "no trace recorded")
-	} else {
-		a.SessionsAchieved = tr.CountSessions()
-		a.Violations = append(a.Violations, m.AdmissibilityViolations(tr, delays)...)
-	}
+	a.Violations = append(a.Violations, violations...)
 	if len(a.Violations) > 0 {
 		a.FirstViolation = a.Violations[0]
 	}
 	switch {
-	case tr != nil && a.SessionsAchieved >= sRequired && portsIdle && len(a.Violations) == 0:
-		a.Verdict = VerdictAdmissible
-	case tr != nil && a.SessionsAchieved >= sRequired && portsIdle:
-		a.Verdict = VerdictRecovered
-	default:
+	case sessions < sRequired || !portsIdle:
 		a.Verdict = VerdictBroken
+	case len(a.Violations) == 0:
+		a.Verdict = VerdictAdmissible
+	default:
+		a.Verdict = VerdictRecovered
 	}
 	return a
 }

@@ -13,8 +13,9 @@
 //   - Plan, a seeded, fully deterministic fault schedule built on sim.RNG
 //     (this package is in the nodeterm lint set: wall clocks and math/rand
 //     can never leak into fault schedules);
-//   - an auditor (AuditTrace) classifying each run as admissible,
-//     violated-but-recovered, or guarantee-broken.
+//   - an auditor (Classify, and AuditTrace over a recorded trace)
+//     classifying each run as admissible, violated-but-recovered, or
+//     guarantee-broken.
 package fault
 
 import (

@@ -63,16 +63,6 @@ type Config struct {
 	// way; this is an escape hatch for debugging and for isolating per-run
 	// timings, and the reference the differential tests compare against.
 	NoSeedBatch bool
-
-	// StreamCertify routes every Table-1 run through the streaming
-	// certifier (core.RunSMStream/RunMPStream): the executors discard
-	// recorded steps and an online counter verifies the session condition,
-	// so memory stays O(ports) regardless of step count. Results — and run
-	// cache contents — are byte-identical to the materialized path (the
-	// golden tests in internal/core enforce it). Implies NoSeedBatch: the
-	// streaming runners build their own scheduler, so the seed-group probe
-	// cannot read its draw count.
-	StreamCertify bool
 }
 
 // Default returns the configuration used by cmd/sessiontable and the
@@ -120,9 +110,8 @@ func (c Config) withDefaults() Config {
 
 // newEngine builds the harness's default engine: the given parallelism plus
 // a reusable core.RunScratch per worker, so the sweep's steady state runs
-// allocation-free in the executors. Safe because every harness aggregation
-// reads only scalars out of each report before the worker's next run reuses
-// the trace backing.
+// allocation-free in the executors. Safe because the harness runs
+// trace-free, and trace-free reports never alias the scratch.
 func newEngine(parallelism int) *engine.Engine {
 	return engine.New(
 		engine.WithParallelism(parallelism),
@@ -363,8 +352,6 @@ type cellDef struct {
 	gammaUpper bool
 	// rounds: measure rounds instead of time (asynchronous SM).
 	rounds bool
-	// stream: run through the streaming certifier (Config.StreamCertify).
-	stream bool
 }
 
 func (d cellDef) name() string {
@@ -379,16 +366,10 @@ func (d cellDef) name() string {
 // matrices simulate each unique run once.
 func (d cellDef) runOnce(ctx context.Context, st timing.Strategy, seed uint64) (runOutcome, error) {
 	run := func() (*core.Report, error) {
-		switch {
-		case d.smAlg != nil && d.stream:
+		if d.smAlg != nil {
 			return core.RunSMStream(ctx, d.smAlg, d.spec, d.model, st, seed, scratchFrom(ctx), core.StreamOptions{})
-		case d.smAlg != nil:
-			return core.RunSMScratch(ctx, d.smAlg, d.spec, d.model, st, seed, scratchFrom(ctx))
-		case d.stream:
-			return core.RunMPStream(ctx, d.mpAlg, d.spec, d.model, st, seed, scratchFrom(ctx), core.StreamOptions{})
-		default:
-			return core.RunMPScratch(ctx, d.mpAlg, d.spec, d.model, st, seed, scratchFrom(ctx))
 		}
+		return core.RunMPStream(ctx, d.mpAlg, d.spec, d.model, st, seed, scratchFrom(ctx), core.StreamOptions{})
 	}
 	if engine.RunCacheFrom(ctx) != nil {
 		key := core.RunKey(d.comm, d.name(), d.spec, d.model, st, seed, 0, nil)
@@ -511,17 +492,12 @@ func Table1(cfg Config) ([]Cell, error) {
 func Table1Ctx(ctx context.Context, cfg Config) ([]Cell, error) {
 	cfg = cfg.withDefaults()
 	defs := table1Defs(cfg)
-	if cfg.StreamCertify {
-		for i := range defs {
-			defs[i].stream = true
-		}
-	}
 	sts := timing.AllStrategies()
 	per := len(sts) * cfg.Seeds
 
 	var outs []runOutcome
 	var err error
-	if cfg.NoSeedBatch || cfg.StreamCertify {
+	if cfg.NoSeedBatch {
 		outs, err = engine.Map(ctx, cfg.engineOrNew(), len(defs)*per,
 			func(i int) string {
 				d := defs[i/per]

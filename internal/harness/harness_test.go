@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -62,22 +61,6 @@ func TestTable1RowCoverage(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("missing cell %s", want)
 		}
-	}
-}
-
-func TestTable1StreamCertifyIdentical(t *testing.T) {
-	base, err := Table1(smallConfig())
-	if err != nil {
-		t.Fatalf("Table1: %v", err)
-	}
-	cfg := smallConfig()
-	cfg.StreamCertify = true
-	stream, err := Table1(cfg)
-	if err != nil {
-		t.Fatalf("Table1 streaming: %v", err)
-	}
-	if !reflect.DeepEqual(base, stream) {
-		t.Errorf("streaming certification changed results:\nmaterialized %+v\nstreaming    %+v", base, stream)
 	}
 }
 

@@ -73,7 +73,7 @@ func maxFinishByGroup(ctx context.Context, eng *engine.Engine, runs []mpRun, gro
 		func(ctx context.Context, i int) (runOutcome, error) {
 			r := runs[i]
 			run := func() (*core.Report, error) {
-				return core.RunMPScratch(ctx, r.alg, r.spec, r.model, r.st, r.seed, scratchFrom(ctx))
+				return core.RunMPStream(ctx, r.alg, r.spec, r.model, r.st, r.seed, scratchFrom(ctx), core.StreamOptions{})
 			}
 			if engine.RunCacheFrom(ctx) != nil {
 				// Same key space as the Table-1 cells: a hierarchy or sweep

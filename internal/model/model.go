@@ -53,11 +53,11 @@ type Step struct {
 func (s Step) IsPortStep() bool { return s.Port != NoPort }
 
 // StepObserver consumes executed steps online, in execution order, as the
-// executors produce them. It is the hook behind streaming certification:
-// large-n runs count sessions incrementally through an observer instead of
-// materializing Trace.Steps. Observers must not retain the step's Accesses
-// slice past the call (executors may reuse the backing arena), and under
-// discarded-step runs Accesses is nil.
+// executors produce them. It is the hook behind online certification:
+// every verified run counts sessions incrementally through an observer, and
+// trace-free runs never materialize Trace.Steps. Observers must not retain
+// the step's Accesses slice past the call (executors may reuse the backing
+// arena), and under discarded-step runs Accesses is nil.
 type StepObserver interface {
 	ObserveStep(s Step)
 }
@@ -99,20 +99,31 @@ type Trace struct {
 // [0, NumPorts).
 func (tr *Trace) Validate() error {
 	var prev sim.Time
-	for i, s := range tr.Steps {
-		if s.Index != i {
-			return fmt.Errorf("step %d has index %d", i, s.Index)
+	for i := range tr.Steps {
+		if err := ValidateStep(&tr.Steps[i], i, prev, tr.NumProcs, tr.NumPorts); err != nil {
+			return err
 		}
-		if s.Time < prev {
-			return fmt.Errorf("step %d: time %v decreases below %v", i, s.Time, prev)
-		}
-		prev = s.Time
-		if s.Proc != NetworkProc && (s.Proc < 0 || s.Proc >= tr.NumProcs) {
-			return fmt.Errorf("step %d: process %d out of range [0,%d)", i, s.Proc, tr.NumProcs)
-		}
-		if s.Port != NoPort && (s.Port < 0 || s.Port >= tr.NumPorts) {
-			return fmt.Errorf("step %d: port %d out of range [0,%d)", i, s.Port, tr.NumPorts)
-		}
+		prev = tr.Steps[i].Time
+	}
+	return nil
+}
+
+// ValidateStep applies Validate's per-step checks to s, the i-th step of a
+// computation over numProcs processes and numPorts ports whose previous
+// step ran at prev (0 for the first step). Streaming certifiers call it one
+// step at a time.
+func ValidateStep(s *Step, i int, prev sim.Time, numProcs, numPorts int) error {
+	if s.Index != i {
+		return fmt.Errorf("step %d has index %d", i, s.Index)
+	}
+	if s.Time < prev {
+		return fmt.Errorf("step %d: time %v decreases below %v", i, s.Time, prev)
+	}
+	if s.Proc != NetworkProc && (s.Proc < 0 || s.Proc >= numProcs) {
+		return fmt.Errorf("step %d: process %d out of range [0,%d)", i, s.Proc, numProcs)
+	}
+	if s.Port != NoPort && (s.Port < 0 || s.Port >= numPorts) {
+		return fmt.Errorf("step %d: port %d out of range [0,%d)", i, s.Port, numPorts)
 	}
 	return nil
 }

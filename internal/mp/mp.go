@@ -129,10 +129,10 @@ type Options struct {
 	DelayObserver DelayObserver
 	// DiscardSteps skips materializing Trace.Steps and Result.Delays (and
 	// the per-step access records): Result.Trace carries only the
-	// process/port counts. Large-n runs pair it with Observer/DelayObserver
-	// so sessions and admissibility are checked online in O(ports) memory
-	// instead of O(steps). The executed schedule is bit-identical either
-	// way.
+	// process/port counts. Trace-free verified runs pair it with
+	// Observer/DelayObserver so sessions and admissibility are checked
+	// online in O(ports) memory instead of O(steps). The executed schedule
+	// is bit-identical either way.
 	DiscardSteps bool
 }
 

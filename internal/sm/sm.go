@@ -141,10 +141,10 @@ type Options struct {
 	// DiscardSteps set the observed steps carry no access records.
 	Observer model.StepObserver
 	// DiscardSteps skips materializing Trace.Steps (and the per-step access
-	// records): Result.Trace carries only the process/port counts. Large-n
-	// runs pair it with Observer so sessions are counted online in O(ports)
-	// memory instead of O(steps). The executed schedule is bit-identical
-	// either way.
+	// records): Result.Trace carries only the process/port counts.
+	// Trace-free verified runs pair it with Observer so sessions are counted
+	// online in O(ports) memory instead of O(steps). The executed schedule
+	// is bit-identical either way.
 	DiscardSteps bool
 }
 

@@ -18,6 +18,7 @@ package timing
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"sessionproblem/internal/model"
 	"sessionproblem/internal/sim"
@@ -233,50 +234,56 @@ func (d MessageDelay) Delay() sim.Duration { return d.Delivered.Sub(d.Sent) }
 // schedule was produced. Gap constraints apply to every regular process that
 // appears, counting the gap from time 0 to the first step (the paper
 // assumes all steps, including the first, obey the constraints from time 0).
-// It runs in one pass over the trace with per-process gap state (walkGaps
-// per process would rescan the whole trace NumProcs times); the reported
-// violation is the earliest in trace order rather than the earliest of the
-// lowest-numbered process, which only matters for inadmissible traces.
-// AdmissibilityViolations keeps the per-process ordering contract.
+// An invalid trace is reported first; otherwise the first gap violation in
+// trace order, then the first delay violation in send order.
+// AdmissibilityViolations is the collecting variant.
 func (m Model) CheckAdmissible(tr *model.Trace, delays []MessageDelay) error {
 	if err := tr.Validate(); err != nil {
 		return fmt.Errorf("trace invalid: %w", err)
 	}
-	if tr.NumProcs > 0 {
-		st := make([]gapState, tr.NumProcs)
-		for i := range tr.Steps {
-			s := &tr.Steps[i]
-			if s.Proc < 0 || s.Proc >= tr.NumProcs {
-				continue // network steps have no gap constraint
-			}
-			if err := m.checkGapStep(&st[s.Proc], s.Proc, s.Index, s.Time); err != nil {
-				return err
-			}
-		}
-	}
-	for _, d := range delays {
-		if err := m.checkDelay(d); err != nil {
-			return err
-		}
-	}
-	return nil
+	return replay(m.NewChecker(tr.NumProcs), tr, delays).Err()
 }
 
-// gapState is one process's running state for single-pass gap checking.
+// AdmissibilityViolations returns a description of every constraint the
+// trace and recorded delays violate under this model, in deterministic
+// order: per-process gap violations (processes in index order, steps in
+// trace order), then message-delay violations in send order. It returns nil
+// for admissible computations. CheckAdmissible is the fail-fast variant;
+// the fault auditor uses this collecting one.
+func (m Model) AdmissibilityViolations(tr *model.Trace, delays []MessageDelay) []string {
+	if err := tr.Validate(); err != nil {
+		return []string{fmt.Sprintf("trace invalid: %v", err)}
+	}
+	return replay(m.NewCollectingChecker(tr.NumProcs), tr, delays).Violations()
+}
+
+// replay feeds a recorded trace and its delays through c.
+func replay(c *Checker, tr *model.Trace, delays []MessageDelay) *Checker {
+	for i := range tr.Steps {
+		c.ObserveStep(tr.Steps[i])
+	}
+	for _, d := range delays {
+		c.ObserveDelay(d)
+	}
+	return c
+}
+
+// gapState is one process's running state for gap checking.
 type gapState struct {
 	last   sim.Time
 	period sim.Duration // Periodic: fixed by the first constrained gap
 	seen   bool
 }
 
-// checkGapStep checks one step's gap against the model, mirroring walkGaps'
-// per-process logic exactly (same messages, same period-fixing rule).
+// checkGapStep checks one step's gap against the model.
 func (m Model) checkGapStep(st *gapState, proc, index int, at sim.Time) error {
 	gap := at.Sub(st.last)
 	st.last = at
 	first := !st.seen
 	st.seen = true
 	if first && m.StartSync {
+		// [4]'s convention: the synchronized first step occurs at time 0;
+		// subsequent gaps obey the model constraints.
 		if gap != 0 {
 			return fmt.Errorf("p%d: first step at %v, want 0 under synchronized start", proc, at)
 		}
@@ -318,136 +325,107 @@ func (m Model) checkGapStep(st *gapState, proc, index int, at sim.Time) error {
 	return nil
 }
 
-// AdmissibilityViolations returns a description of every constraint the
-// trace and recorded delays violate under this model, in deterministic
-// order: per-process gap violations (processes in index order, steps in
-// trace order), then message-delay violations in send order. It returns nil
-// for admissible computations. CheckAdmissible is the fail-fast variant;
-// the fault auditor uses this collecting one.
-func (m Model) AdmissibilityViolations(tr *model.Trace, delays []MessageDelay) []string {
-	if err := tr.Validate(); err != nil {
-		return []string{fmt.Sprintf("trace invalid: %v", err)}
-	}
-	var out []string
-	collect := func(err error) bool {
-		out = append(out, err.Error())
-		return true
-	}
-	for p := 0; p < tr.NumProcs; p++ {
-		m.walkGaps(tr, p, collect)
-	}
-	for _, d := range delays {
-		if err := m.checkDelay(d); err != nil {
-			out = append(out, err.Error())
-		}
-	}
-	return out
-}
-
-// walkGaps visits every gap violation of proc in step order, calling visit
-// for each; visit returns false to stop the walk early.
-func (m Model) walkGaps(tr *model.Trace, proc int, visit func(error) bool) {
-	last := sim.Time(0)
-	var period sim.Duration
-	first := true
-	for _, s := range tr.Steps {
-		if s.Proc != proc {
-			continue
-		}
-		gap := s.Time.Sub(last)
-		last = s.Time
-		if first && m.StartSync {
-			// [4]'s convention: the synchronized first step occurs at time
-			// 0; subsequent gaps obey the model constraints.
-			if gap != 0 {
-				if !visit(fmt.Errorf("p%d: first step at %v, want 0 under synchronized start",
-					proc, s.Time)) {
-					return
-				}
-			}
-			first = false
-			continue
-		}
-		var err error
-		switch m.Kind {
-		case Synchronous:
-			if gap != m.C2 {
-				err = fmt.Errorf("p%d step %d: gap %v != c2 %v", proc, s.Index, gap, m.C2)
-			}
-		case Periodic:
-			if period == 0 {
-				// First constrained gap fixes the process's period
-				// (PeriodMin > 0, so 0 is a safe "unset" sentinel).
-				period = gap
-				if period < m.PeriodMin || period > m.PeriodMax {
-					err = fmt.Errorf("p%d: period %v outside [%v,%v]",
-						proc, period, m.PeriodMin, m.PeriodMax)
-				}
-			} else if gap != period {
-				err = fmt.Errorf("p%d step %d: gap %v != period %v", proc, s.Index, gap, period)
-			}
-		case SemiSynchronous:
-			if gap < m.C1 || gap > m.C2 {
-				err = fmt.Errorf("p%d step %d: gap %v outside [%v,%v]",
-					proc, s.Index, gap, m.C1, m.C2)
-			}
-		case Sporadic:
-			if gap < m.C1 {
-				err = fmt.Errorf("p%d step %d: gap %v below c1 %v", proc, s.Index, gap, m.C1)
-			}
-		case AsynchronousSM:
-			if gap < 0 {
-				err = fmt.Errorf("p%d step %d: negative gap", proc, s.Index)
-			}
-		case AsynchronousMP:
-			if gap < 0 || gap > m.C2 {
-				err = fmt.Errorf("p%d step %d: gap %v outside [0,%v]", proc, s.Index, gap, m.C2)
-			}
-		}
-		if err != nil && !visit(err) {
-			return
-		}
-		first = false
-	}
-}
-
-// Checker verifies admissibility online, one step or delay at a time, with
-// O(processes) state and no trace: it is the streaming counterpart of
-// CheckAdmissible, applying checkGapStep/checkDelay incrementally in the
-// order the executor produces records. The first violation sticks in Err;
-// later observations are no-ops. It implements model.StepObserver (and,
-// structurally, the message-passing executor's DelayObserver).
+// Checker is the one implementation of the gap and delay rules. It verifies
+// admissibility online, one step or delay at a time, with O(processes) state
+// and no trace; CheckAdmissible and AdmissibilityViolations replay a
+// recorded trace through one. Steps and delays may arrive interleaved, as
+// the message-passing executor produces them, without changing the answer.
+// It checks neither trace validity (see model.ValidateStep) nor anything
+// outside [0, numProcs): network steps carry no gap constraint. It
+// implements model.StepObserver (and, structurally, the message-passing
+// executor's DelayObserver).
 type Checker struct {
-	m   Model
-	st  []gapState
-	err error
+	m       Model
+	st      []gapState
+	collect bool
+	// gapErr and delayErr are the first gap violation in step order and
+	// the first delay violation in send order.
+	gapErr, delayErr error
+	// Collecting mode only: every violation, gaps tagged with their
+	// process and kept in step order.
+	gaps   []procViolation
+	delays []string
 }
 
-// NewChecker returns a streaming admissibility checker for a system of
-// numProcs regular processes under model m.
+type procViolation struct {
+	proc int
+	msg  string
+}
+
+// NewChecker returns a fail-fast checker for a system of numProcs regular
+// processes under model m. Err reports what CheckAdmissible would: the first
+// gap violation in step order ahead of any delay violation. Once a gap
+// violation is known, later observations are no-ops.
 func (m Model) NewChecker(numProcs int) *Checker {
 	return &Checker{m: m, st: make([]gapState, numProcs)}
 }
 
-// ObserveStep checks one executed step's gap constraint. Network steps
-// (Proc outside [0, numProcs)) carry no gap constraint and are ignored.
+// NewCollectingChecker returns a checker that records every violation, for
+// Violations; Err still reports the fail-fast answer.
+func (m Model) NewCollectingChecker(numProcs int) *Checker {
+	c := m.NewChecker(numProcs)
+	c.collect = true
+	return c
+}
+
+// ObserveStep checks one executed step's gap constraint.
 func (c *Checker) ObserveStep(s model.Step) {
-	if c.err != nil || s.Proc < 0 || s.Proc >= len(c.st) {
+	if (c.gapErr != nil && !c.collect) || s.Proc < 0 || s.Proc >= len(c.st) {
 		return
 	}
-	c.err = c.m.checkGapStep(&c.st[s.Proc], s.Proc, s.Index, s.Time)
+	err := c.m.checkGapStep(&c.st[s.Proc], s.Proc, s.Index, s.Time)
+	if err == nil {
+		return
+	}
+	if c.gapErr == nil {
+		c.gapErr = err
+	}
+	if c.collect {
+		c.gaps = append(c.gaps, procViolation{s.Proc, err.Error()})
+	}
 }
 
 // ObserveDelay checks one message's transit interval.
 func (c *Checker) ObserveDelay(d MessageDelay) {
-	if c.err != nil {
+	if (c.gapErr != nil || c.delayErr != nil) && !c.collect {
 		return
 	}
-	c.err = c.m.checkDelay(d)
+	err := c.m.checkDelay(d)
+	if err == nil {
+		return
+	}
+	if c.delayErr == nil {
+		c.delayErr = err
+	}
+	if c.collect {
+		c.delays = append(c.delays, err.Error())
+	}
 }
 
-// Err returns the first violation observed, or nil.
-func (c *Checker) Err() error { return c.err }
+// Err returns the first gap violation observed, else the first delay
+// violation, else nil.
+func (c *Checker) Err() error {
+	if c.gapErr != nil {
+		return c.gapErr
+	}
+	return c.delayErr
+}
+
+// Violations lists every violation a collecting checker observed, in
+// AdmissibilityViolations order: gap violations by process index, each
+// process's in step order, then delay violations in send order. It returns
+// nil when there were none, and always for a fail-fast checker.
+func (c *Checker) Violations() []string {
+	if len(c.gaps)+len(c.delays) == 0 {
+		return nil
+	}
+	sort.SliceStable(c.gaps, func(i, j int) bool { return c.gaps[i].proc < c.gaps[j].proc })
+	out := make([]string, 0, len(c.gaps)+len(c.delays))
+	for _, v := range c.gaps {
+		out = append(out, v.msg)
+	}
+	return append(out, c.delays...)
+}
 
 func (m Model) checkDelay(d MessageDelay) error {
 	delay := d.Delay()

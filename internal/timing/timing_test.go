@@ -390,3 +390,41 @@ func TestAdmissibilityViolationsCollectsAll(t *testing.T) {
 		t.Errorf("invalid trace: got %q, want single trace-invalid entry", got)
 	}
 }
+
+// A Checker sees steps and delays interleaved in execution order, yet must
+// answer in the trace functions' order: fail-fast reports the first gap
+// violation even when a delay violation came earlier, and collecting lists
+// processes by index before delays, whatever order they broke in.
+func TestCheckerOrderIndependentOfInterleaving(t *testing.T) {
+	m := NewAsynchronousMP(3, 5)
+	late := MessageDelay{Src: 0, Dst: 1, Sent: 0, Delivered: 9}
+	steps := []model.Step{
+		{Index: 0, Proc: 1, Time: 5, Port: model.NoPort}, // p1: gap 5 > 3
+		{Index: 1, Proc: 0, Time: 6, Port: model.NoPort}, // p0: gap 6 > 3
+		{Index: 2, Proc: 1, Time: 7, Port: model.NoPort},
+		{Index: 3, Proc: 0, Time: 11, Port: model.NoPort}, // p0: gap 5 > 3
+	}
+	failFast, collecting := m.NewChecker(2), m.NewCollectingChecker(2)
+	for _, c := range []*Checker{failFast, collecting} {
+		c.ObserveDelay(late)
+		for _, s := range steps {
+			c.ObserveStep(s)
+		}
+	}
+	if err := failFast.Err(); err == nil || !strings.HasPrefix(err.Error(), "p1 step 0:") {
+		t.Errorf("fail-fast Err = %v, want p1's step-0 gap violation", err)
+	}
+	got := collecting.Violations()
+	want := []string{"p0 step 1:", "p0 step 3:", "p1 step 0:", "message 0->1"}
+	if len(got) != len(want) {
+		t.Fatalf("Violations = %q, want %d entries", got, len(want))
+	}
+	for i := range want {
+		if !strings.HasPrefix(got[i], want[i]) {
+			t.Errorf("violation %d = %q, want prefix %q", i, got[i], want[i])
+		}
+	}
+	if failFast.Violations() != nil {
+		t.Errorf("fail-fast checker collected %q", failFast.Violations())
+	}
+}

@@ -111,9 +111,8 @@ type settings struct {
 	journalPath string
 	journal     *journal.Writer
 
-	noSeedBatch   bool
-	streamCertify bool
-	topologies    []string
+	noSeedBatch bool
+	topologies  []string
 }
 
 // initCache resolves WithCacheDir into the cache the call runs with: a
@@ -191,10 +190,9 @@ func (s settings) harnessConfig(eng *engine.Engine) harness.Config {
 		S: s.s, N: s.n, B: s.b,
 		C1: s.c1, C2: s.c2, Cmin: s.cmin, Cmax: s.cmax,
 		D1: s.d1, D2: s.d2,
-		Seeds:         s.seeds,
-		Engine:        eng,
-		NoSeedBatch:   s.noSeedBatch,
-		StreamCertify: s.streamCertify,
+		Seeds:       s.seeds,
+		Engine:      eng,
+		NoSeedBatch: s.noSeedBatch,
 	}
 }
 
@@ -305,16 +303,6 @@ func WithParallelism(n int) Option {
 // calls report one Observation per seed group).
 func WithSeedBatching(on bool) Option {
 	return func(cfg *settings) { cfg.noSeedBatch = !on }
-}
-
-// WithStreamCertify routes every Table-1 run through the streaming
-// certifier: the executors never materialize traces and an online counter
-// verifies the session condition, keeping memory O(ports) regardless of
-// how many steps a run takes. Results — and run-cache contents — are
-// byte-identical to the default materialized path; this is the switch for
-// very large port counts, where recorded traces would dominate memory.
-func WithStreamCertify() Option {
-	return func(cfg *settings) { cfg.streamCertify = true }
 }
 
 // WithTopologies selects which point-to-point topology families the

@@ -469,7 +469,7 @@ func Solve(ctx context.Context, m Model, comm Comm, opts ...Option) (*Report, er
 		spec = core.Spec{S: cfg.s, N: cfg.n, B: cfg.b}
 		keyComm, algName = "SM", alg.Name()
 		runPlain = func(ctx context.Context) (*core.Report, error) {
-			return core.RunSMContext(ctx, alg, spec, tm, st, cfg.seed)
+			return core.RunSMStream(ctx, alg, spec, tm, st, cfg.seed, nil, core.StreamOptions{})
 		}
 		runFaulted = func(ctx context.Context, fr core.FaultRun) (*core.Report, error) {
 			return core.RunSMFaulted(ctx, alg, spec, tm, st, cfg.seed, fr)
@@ -484,7 +484,7 @@ func Solve(ctx context.Context, m Model, comm Comm, opts ...Option) (*Report, er
 		spec = core.Spec{S: cfg.s, N: cfg.n}
 		keyComm, algName = "MP", alg.Name()
 		runPlain = func(ctx context.Context) (*core.Report, error) {
-			return core.RunMPContext(ctx, alg, spec, tm, st, cfg.seed)
+			return core.RunMPStream(ctx, alg, spec, tm, st, cfg.seed, nil, core.StreamOptions{})
 		}
 		runFaulted = func(ctx context.Context, fr core.FaultRun) (*core.Report, error) {
 			return core.RunMPFaulted(ctx, alg, spec, tm, st, cfg.seed, fr)
