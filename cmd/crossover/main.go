@@ -36,7 +36,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("crossover", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: f1, f2, f3, f4, f5 or all")
+	exp := fs.String("exp", "all", "experiment: f1, f2, f3, f4, f5, f6, f7, tight or all")
 	e := cmdflags.RegisterExec(fs)
 	j := cmdflags.RegisterJournal(fs)
 	if err := fs.Parse(args); err != nil {
@@ -63,7 +63,7 @@ func run(args []string) error {
 			Kind: harness.SweepKindSporadicDelay,
 			S:    6, N: 4, C1: 2, D2: 40,
 			Steps: 9, Seeds: *seeds, Parallelism: *parallelism,
-			Engine: eng,
+			Engine: eng, NoSeedBatch: !e.SeedBatching,
 		})
 		if err != nil {
 			return err
@@ -82,7 +82,7 @@ func run(args []string) error {
 			Kind: harness.SweepKindPeriodicVsSemiSync,
 			N:    4, C1: 2, C2: 10, D2: 30,
 			MaxS: 10, Seeds: *seeds, Parallelism: *parallelism,
-			Engine: eng,
+			Engine: eng, NoSeedBatch: !e.SeedBatching,
 		})
 		if err != nil {
 			return err
@@ -102,7 +102,7 @@ func run(args []string) error {
 			Kind: harness.SweepKindPeriodicVsSporadic,
 			S:    5, N: 3, C1: 2, D1: 4, D2: 28,
 			Cmaxs: cmaxs, Seeds: *seeds, Parallelism: *parallelism,
-			Engine: eng,
+			Engine: eng, NoSeedBatch: !e.SeedBatching,
 		})
 		if err != nil {
 			return err
@@ -120,6 +120,7 @@ func run(args []string) error {
 		cfg := harness.Default()
 		cfg.Parallelism = *parallelism
 		cfg.Engine = eng
+		cfg.NoSeedBatch = !e.SeedBatching
 		rows, err := harness.HierarchyCtx(ctx, cfg)
 		if err != nil {
 			return err
@@ -131,7 +132,7 @@ func run(args []string) error {
 	}
 	if want("f5") {
 		ran = true
-		pts, err := harness.SweepDiameter(3, 8, 3, 10, *seeds, e.Topologies()...)
+		pts, err := harness.SweepDiameter(ctx, 3, 8, 3, 10, *seeds, e.Topologies()...)
 		if err != nil {
 			return err
 		}

@@ -99,6 +99,7 @@ func run(args []string, w io.Writer) error {
 		PerKind:     *perKind,
 		Parallelism: e.Parallelism,
 		Engine:      eng,
+		NoSeedBatch: !e.SeedBatching,
 	}
 	rows, err := harness.FaultSweep(ctx, cfg)
 	if err != nil {

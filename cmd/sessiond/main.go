@@ -555,7 +555,8 @@ type journalStats struct {
 // batchStats is the /v1/stats seed-batching section: how much work seed
 // sharing saved across every analysis request. Forks counts seeds served
 // from a group's zero-draw probe run instead of being simulated, Fallbacks
-// counts seeds that ran solo because the probe drew random values.
+// counts seeds that ran solo because the probe drew random values (or in a
+// fault sweep's faulted group of more than one seed).
 type batchStats struct {
 	Forks     int64 `json:"forks"`
 	Fallbacks int64 `json:"fallbacks"`

@@ -4,6 +4,7 @@
 package sessionproblem_test
 
 import (
+	"context"
 	"testing"
 
 	"sessionproblem/internal/alg/async"
@@ -32,6 +33,23 @@ func TestHeadlineTable1Reproduction(t *testing.T) {
 	}
 }
 
+// solveTraceFree runs the model's designated algorithm (internal/alg/registry)
+// trace-free, over shared memory ("sm") or message passing ("mp").
+func solveTraceFree(spec core.Spec, m timing.Model, comm string, st timing.Strategy, seed uint64) (*core.Report, error) {
+	if comm == "sm" {
+		alg, err := registry.ForSM(m.Kind)
+		if err != nil {
+			return nil, err
+		}
+		return core.RunSMStream(context.Background(), alg, spec, m, st, seed, nil, core.StreamOptions{})
+	}
+	alg, err := registry.ForMP(m.Kind)
+	if err != nil {
+		return nil, err
+	}
+	return core.RunMPStream(context.Background(), alg, spec, m, st, seed, nil, core.StreamOptions{})
+}
+
 // TestScaleSoak exercises every algorithm at a scale well beyond the unit
 // tests: s=12 sessions over n=32 ports.
 func TestScaleSoak(t *testing.T) {
@@ -52,7 +70,7 @@ func TestScaleSoak(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, st := range []timing.Strategy{timing.Random, timing.Slow} {
-			rep, err := registry.Solve(spec, tc.m, tc.comm, st, 3)
+			rep, err := solveTraceFree(spec, tc.m, tc.comm, st, 3)
 			if err != nil {
 				t.Errorf("%v/%s %v: %v", tc.m.Kind, tc.comm, st, err)
 				continue
@@ -69,7 +87,7 @@ func TestScaleSoak(t *testing.T) {
 func TestDeepSessionsSoak(t *testing.T) {
 	spec := core.Spec{S: 64, N: 4, B: 2}
 	m := timing.NewSporadic(2, 4, 28, 0)
-	rep, err := registry.Solve(spec, m, "mp", timing.Random, 9)
+	rep, err := solveTraceFree(spec, m, "mp", timing.Random, 9)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -87,7 +105,7 @@ func TestDeepSessionsSoak(t *testing.T) {
 func TestWidePortsSoak(t *testing.T) {
 	spec := core.Spec{S: 3, N: 128, B: 2}
 	m := timing.NewAsynchronousSM(3)
-	rep, err := registry.Solve(spec, m, "sm", timing.Random, 5)
+	rep, err := solveTraceFree(spec, m, "sm", timing.Random, 5)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

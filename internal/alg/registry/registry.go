@@ -52,25 +52,3 @@ func ForMP(kind timing.Kind) (core.MPAlgorithm, error) {
 		return nil, fmt.Errorf("registry: no message-passing algorithm for %v", kind)
 	}
 }
-
-// Solve runs the designated algorithm for the given model: shared memory
-// when the model was built for SM (d2 == 0 heuristics are avoided — the
-// caller chooses via comm), message passing otherwise.
-func Solve(spec core.Spec, m timing.Model, comm string, st timing.Strategy, seed uint64) (*core.Report, error) {
-	switch comm {
-	case "sm":
-		alg, err := ForSM(m.Kind)
-		if err != nil {
-			return nil, err
-		}
-		return core.RunSM(alg, spec, m, st, seed)
-	case "mp":
-		alg, err := ForMP(m.Kind)
-		if err != nil {
-			return nil, err
-		}
-		return core.RunMP(alg, spec, m, st, seed)
-	default:
-		return nil, fmt.Errorf("registry: unknown communication model %q (want sm or mp)", comm)
-	}
-}

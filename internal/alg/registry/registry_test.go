@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"testing"
 
 	"sessionproblem/internal/core"
@@ -28,6 +29,23 @@ func TestForSMCoversEveryKind(t *testing.T) {
 	}
 }
 
+// solve runs the model's designated algorithm trace-free, over shared
+// memory ("sm") or message passing ("mp").
+func solve(spec core.Spec, m timing.Model, comm string, st timing.Strategy, seed uint64) (*core.Report, error) {
+	if comm == "sm" {
+		alg, err := ForSM(m.Kind)
+		if err != nil {
+			return nil, err
+		}
+		return core.RunSMStream(context.Background(), alg, spec, m, st, seed, nil, core.StreamOptions{})
+	}
+	alg, err := ForMP(m.Kind)
+	if err != nil {
+		return nil, err
+	}
+	return core.RunMPStream(context.Background(), alg, spec, m, st, seed, nil, core.StreamOptions{})
+}
+
 func TestSolveEndToEnd(t *testing.T) {
 	spec := core.Spec{S: 3, N: 3, B: 2}
 	cases := []struct {
@@ -45,21 +63,14 @@ func TestSolveEndToEnd(t *testing.T) {
 		{"mp", timing.NewAsynchronousMP(4, 20)},
 	}
 	for _, tc := range cases {
-		rep, err := Solve(spec, tc.m, tc.comm, timing.Random, 7)
+		rep, err := solve(spec, tc.m, tc.comm, timing.Random, 7)
 		if err != nil {
-			t.Errorf("Solve(%v, %s): %v", tc.m.Kind, tc.comm, err)
+			t.Errorf("solve(%v, %s): %v", tc.m.Kind, tc.comm, err)
 			continue
 		}
 		if rep.Sessions < spec.S {
-			t.Errorf("Solve(%v, %s): %d sessions", tc.m.Kind, tc.comm, rep.Sessions)
+			t.Errorf("solve(%v, %s): %d sessions", tc.m.Kind, tc.comm, rep.Sessions)
 		}
-	}
-}
-
-func TestSolveRejectsUnknownComm(t *testing.T) {
-	if _, err := Solve(core.Spec{S: 1, N: 1}, timing.NewSynchronous(1, 1), "carrier-pigeon",
-		timing.Slow, 1); err == nil {
-		t.Error("unknown comm accepted")
 	}
 }
 

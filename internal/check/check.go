@@ -15,6 +15,7 @@
 package check
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -78,7 +79,7 @@ func SM(alg core.SMAlgorithm, opts SMOptions) *Report {
 	var sampleErr error
 	for _, st := range timing.AllStrategies() {
 		for seed := uint64(1); seed <= uint64(seeds); seed++ {
-			r, err := core.RunSM(alg, opts.Spec, opts.Model, st, seed)
+			r, err := core.RunSMStream(context.TODO(), alg, opts.Spec, opts.Model, st, seed, nil, core.StreamOptions{})
 			if err != nil {
 				sampleErr = err
 				break
@@ -182,7 +183,7 @@ func MP(alg core.MPAlgorithm, opts MPOptions) *Report {
 	var sampleErr error
 	for _, st := range timing.AllStrategies() {
 		for seed := uint64(1); seed <= uint64(seeds); seed++ {
-			r, err := core.RunMP(alg, opts.Spec, opts.Model, st, seed)
+			r, err := core.RunMPStream(context.TODO(), alg, opts.Spec, opts.Model, st, seed, nil, core.StreamOptions{})
 			if err != nil {
 				sampleErr = err
 				break

@@ -27,7 +27,7 @@ type BatchStats struct {
 	Forks int
 	// Fallbacks is the number of seeds that ran solo after the probe
 	// because the probe drew random values. The fault sweep also counts
-	// each seed of a faulted group here.
+	// each seed of a faulted group of more than one seed here.
 	Fallbacks int
 }
 

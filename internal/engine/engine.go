@@ -44,7 +44,8 @@ type Counts struct {
 	Faults int
 	// BatchForks and BatchFallbacks account the seed-batching layer: seeds
 	// served from a zero-draw probe run's summary, and seeds that ran solo
-	// after a probe that drew (or in a fault sweep's faulted group).
+	// after a probe that drew (or in a fault sweep's faulted group of more
+	// than one seed).
 	BatchForks     int
 	BatchFallbacks int
 	// BatchLanes always reads zero: seed groups no longer run through

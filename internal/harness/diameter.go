@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"sessionproblem/internal/alg/async"
 	"sessionproblem/internal/bounds"
+	"sessionproblem/internal/certify"
 	"sessionproblem/internal/core"
 	"sessionproblem/internal/mp"
 	"sessionproblem/internal/sim"
@@ -30,10 +32,14 @@ const diameterTopoSeed = 1
 // results to the broadcast model by letting d2 subsume the network
 // diameter. Here the asynchronous algorithm runs over concrete topologies
 // with per-hop delays in [0, hopDelay]; the measured worst case must track
-// diameter*hopDelay through the abstract bound. The optional families
-// argument selects which topo.Families entries to sweep (generated
-// families included); empty means the paper's four fixed extremes.
-func SweepDiameter(s, n int, c2, hopDelay sim.Duration, seeds int, families ...string) ([]DiameterPoint, error) {
+// diameter*hopDelay through the abstract bound. Every run is trace-free and
+// certified online against the abstract model the conversion claims it
+// realizes (step gaps up to c2, delays up to diameter*hopDelay), failing as
+// the core runners do on an inadmissible schedule or too few sessions; ctx
+// cancels the sweep mid-run. The optional families argument selects which
+// topo.Families entries to sweep (generated families included); empty
+// means the paper's four fixed extremes.
+func SweepDiameter(ctx context.Context, s, n int, c2, hopDelay sim.Duration, seeds int, families ...string) ([]DiameterPoint, error) {
 	if len(families) == 0 {
 		families = []string{"complete", "star", "ring", "line"}
 	}
@@ -51,6 +57,12 @@ func SweepDiameter(s, n int, c2, hopDelay sim.Duration, seeds int, families ...s
 	spec := core.Spec{S: s, N: n}
 	var out []DiameterPoint
 	for _, tt := range topos {
+		diam := tt.g.Diameter()
+		if diam == 0 {
+			diam = 1
+		}
+		d2eff := sim.Duration(diam) * hopDelay
+		abstract := timing.NewAsynchronousMP(c2, d2eff)
 		var worst float64
 		for seed := uint64(1); seed <= uint64(seeds); seed++ {
 			sys, err := async.NewMP().BuildMP(spec, timing.NewAsynchronousMP(c2, 0))
@@ -62,22 +74,21 @@ func SweepDiameter(s, n int, c2, hopDelay sim.Duration, seeds int, families ...s
 			if err != nil {
 				return nil, err
 			}
-			res, err := mp.Run(sys, hs, mp.Options{})
+			ctr := certify.New(len(sys.Procs), len(sys.PortProcs)).CheckAdmissibility(abstract)
+			res, err := mp.RunContext(ctx, sys, hs, mp.Options{Observer: ctr, DelayObserver: ctr, DiscardSteps: true})
 			if err != nil {
 				return nil, fmt.Errorf("F5 %s seed %d: %w", tt.name, seed, err)
 			}
-			if got := res.Trace.CountSessions(); got < s {
+			if err := ctr.Err(); err != nil {
+				return nil, fmt.Errorf("F5 %s seed %d: inadmissible computation: %w", tt.name, seed, err)
+			}
+			if got := ctr.Sessions(); got < s {
 				return nil, fmt.Errorf("F5 %s seed %d: only %d sessions", tt.name, seed, got)
 			}
 			if f := float64(res.Finish); f > worst {
 				worst = f
 			}
 		}
-		diam := tt.g.Diameter()
-		if diam == 0 {
-			diam = 1
-		}
-		d2eff := sim.Duration(diam) * hopDelay
 		p := bounds.Params{S: s, N: n, C2: c2, D2: d2eff}
 		out = append(out, DiameterPoint{
 			Topology:    tt.name,

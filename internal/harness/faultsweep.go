@@ -2,16 +2,10 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"text/tabwriter"
 
-	"sessionproblem/internal/alg/async"
-	"sessionproblem/internal/alg/periodic"
-	"sessionproblem/internal/alg/semisync"
-	"sessionproblem/internal/alg/sporadic"
-	"sessionproblem/internal/alg/synchronous"
 	"sessionproblem/internal/core"
 	"sessionproblem/internal/engine"
 	"sessionproblem/internal/fault"
@@ -64,10 +58,12 @@ type FaultSweepConfig struct {
 	// Parallelism.
 	Engine *engine.Engine
 
-	// NoSeedBatch disables seed batching; see Config.NoSeedBatch. The fault
-	// sweep shares runs only within its fault-free (intensity zero) groups —
-	// a firing injector makes each seed's run depend on its own plan — so
-	// this knob mainly exists for symmetry and debugging.
+	// NoSeedBatch runs every (strategy, seed) run as its own engine task, a
+	// seed group of one; see Config.NoSeedBatch. Only the fault-free
+	// (intensity zero) groups ever share runs — a firing injector makes each
+	// seed's run depend on its own plan — so here the knob changes task
+	// granularity and the batch counters (faulted groups of one count no
+	// fallbacks), never a result.
 	NoSeedBatch bool
 }
 
@@ -157,95 +153,16 @@ type FaultSweepRow struct {
 	KindMargins map[fault.Kind]float64
 }
 
-// faultOutcome is one engine task's return: the audit scalars the sweep
-// aggregates. Report-free so cached and live runs are indistinguishable.
-type faultOutcome struct {
-	verdict  fault.Verdict
-	silent   bool
-	sessions int
-
-	steps, messages, faults int
-}
-
-// Account feeds the run's simulator counts into engine.Stats.
-func (o faultOutcome) Account() engine.Counts {
-	return engine.Counts{
-		Steps:    o.steps,
-		Sessions: o.sessions,
-		Messages: o.messages,
-		Faults:   o.faults,
-	}
-}
-
-// faultOutcomeOf projects a run summary onto the sweep outcome.
-func faultOutcomeOf(sum *core.RunSummary) faultOutcome {
-	return faultOutcome{
-		verdict:  sum.Audit.Verdict,
-		silent:   sum.Audit.Silent(),
-		sessions: sum.Sessions,
-		steps:    sum.Steps,
-		messages: sum.Messages,
-		faults:   sum.Faults,
-	}
-}
-
-// faultOutcomeOfReport is faultOutcomeOf without the summary detour, for
-// the cache-free path.
-func faultOutcomeOfReport(rep *core.Report) faultOutcome {
-	return faultOutcome{
-		verdict:  rep.Audit.Verdict,
-		silent:   rep.Audit.Silent(),
-		sessions: rep.Sessions,
-		steps:    rep.Steps(),
-		messages: rep.Messages,
-		faults:   len(rep.Faults),
-	}
-}
-
-// faultBatchOutcome is batchOutcome's fault-sweep counterpart: one group's
-// audit outcomes in seed order plus the batch layer's accounting.
-type faultBatchOutcome struct {
-	outs  []faultOutcome
-	stats core.BatchStats
-}
-
-// Account feeds the group's counts into engine.Stats, one run at a time.
-func (b faultBatchOutcome) Account() engine.Counts {
-	var c engine.Counts
-	for _, o := range b.outs {
-		c.Steps += o.steps
-		c.Sessions += o.sessions
-		c.Messages += o.messages
-		c.Faults += o.faults
-	}
-	c.BatchForks = b.stats.Forks
-	c.BatchFallbacks = b.stats.Fallbacks
-	return c
-}
-
-// faultRowDef is one model row of the sweep (mirrors HierarchyCtx's defs).
-type faultRowDef struct {
-	name  string
-	alg   core.MPAlgorithm
-	model timing.Model
-}
-
-func faultSweepDefs(cfg FaultSweepConfig) ([]faultRowDef, error) {
-	all := []faultRowDef{
-		{"synchronous", synchronous.NewMP(), timing.NewSynchronous(cfg.C2, cfg.D2)},
-		{"periodic", periodic.NewMP(), timing.NewPeriodic(cfg.Cmin, cfg.Cmax, cfg.D2)},
-		{"semi-synchronous", semisync.NewMP(semisync.Auto), timing.NewSemiSynchronous(cfg.C1, cfg.C2, cfg.D2)},
-		{"sporadic", sporadic.NewMP(), timing.NewSporadic(cfg.C1, cfg.D1, cfg.D2, 0)},
-		{"asynchronous", async.NewMP(), timing.NewAsynchronousMP(cfg.C2, cfg.D2)},
-	}
+func faultSweepDefs(cfg FaultSweepConfig) ([]mpRowDef, error) {
+	all := mpRowDefs(cfg.C1, cfg.C2, cfg.Cmin, cfg.Cmax, cfg.D1, cfg.D2)
 	if len(cfg.Models) == 0 {
 		return all, nil
 	}
-	byName := make(map[string]faultRowDef, len(all))
+	byName := make(map[string]mpRowDef, len(all))
 	for _, d := range all {
 		byName[d.name] = d
 	}
-	defs := make([]faultRowDef, 0, len(cfg.Models))
+	defs := make([]mpRowDef, 0, len(cfg.Models))
 	for _, name := range cfg.Models {
 		d, ok := byName[name]
 		if !ok {
@@ -277,159 +194,99 @@ func FaultSweep(ctx context.Context, cfg FaultSweepConfig) ([]FaultSweepRow, err
 	sts := timing.AllStrategies()
 	perCell := len(sts) * cfg.Seeds
 	perRow := len(cfg.Intensities) * perCell
-	total := len(defs) * perRow
+	total := len(defs) * perRow // runs per matrix copy
 
-	// The per-kind sub-matrices occupy indices [total, grand): one full copy
-	// of the base matrix per kind, restricted to that kind. Plan seeds key
-	// off the extended flat index, so the base matrix's seeds — and its
-	// results — are bit-for-bit unchanged whether PerKind is on or off.
+	// The per-kind sub-matrices occupy the flat indices from total on: one
+	// full copy of the base matrix per kind, restricted to that kind. Plan
+	// seeds key off the extended flat index, so the base matrix's seeds —
+	// and its results — are bit-for-bit unchanged whether PerKind is on or
+	// off.
 	kindAxis := cfg.Kinds
 	if len(kindAxis) == 0 {
 		kindAxis = fault.AllKinds()
 	}
-	grand := total
+	groups := len(defs) * len(cfg.Intensities) * len(sts) // seed groups per matrix copy
+	copies := 1
 	if cfg.PerKind {
-		grand = total * (1 + len(kindAxis))
+		copies += len(kindAxis)
 	}
 
-	// decode maps a flat index to its matrix coordinates.
-	decode := func(i int) (d faultRowDef, intensity float64, st timing.Strategy, seed uint64, kinds []fault.Kind) {
+	// decode maps seed group g — flat indices g*Seeds .. g*Seeds+Seeds-1 —
+	// to its (row, intensity, strategy) coordinates and injected kinds; name
+	// carries the kind of a per-kind group.
+	decode := func(g int) (d mpRowDef, name string, intensity float64, st timing.Strategy, kinds []fault.Kind) {
 		kinds = cfg.Kinds
-		if i >= total {
-			kinds = kindAxis[(i-total)/total : (i-total)/total+1]
-			i = (i - total) % total
+		c := g / groups
+		g %= groups
+		d = defs[g/(len(cfg.Intensities)*len(sts))]
+		name = d.name
+		if c > 0 {
+			kinds = kindAxis[c-1 : c]
+			name = fmt.Sprintf("%s/%v", d.name, kinds[0])
 		}
-		d = defs[i/perRow]
-		j := i % perRow
-		intensity = cfg.Intensities[j/perCell]
-		k := j % perCell
-		return d, intensity, sts[k/cfg.Seeds], uint64(k%cfg.Seeds) + 1, kinds
+		return d, name, cfg.Intensities[g/len(sts)%len(cfg.Intensities)], sts[g%len(sts)], kinds
 	}
 
-	// runGroup executes one (row, intensity, strategy[, kind]) seed group as
-	// a single engine task. Fault-free (intensity zero) groups go through
-	// core's seed-group runner — their per-index plans never act, so a
-	// draw-free probe serves every seed; faulted groups run seed by seed
-	// inside the task, counted as fallbacks. Cache keys, plan seeds and
-	// outcomes are byte-identical to the per-run path.
-	runGroup := func(ctx context.Context, g int) (faultBatchOutcome, error) {
-		base := g * cfg.Seeds
-		d, intensity, st, _, kinds := decode(base)
-		bo := faultBatchOutcome{outs: make([]faultOutcome, cfg.Seeds)}
-		cache := engine.RunCacheFrom(ctx)
-		rs := scratchFrom(ctx)
-		plans := make([]fault.Plan, cfg.Seeds)
-		keys := make([]string, cfg.Seeds)
-		miss := make([]int, 0, cfg.Seeds)
-		for k := 0; k < cfg.Seeds; k++ {
-			plans[k] = fault.NewPlan(planSeed(cfg.FaultSeed, base+k), intensity, kinds...).ScaledTo(d.model)
-			if cache != nil {
-				keys[k] = core.RunKey("MP", d.alg.Name(), spec, d.model, st, uint64(k)+1, cfg.MaxSteps, &plans[k])
-				if v, ok := cache.Get(keys[k]); ok {
-					bo.outs[k] = faultOutcomeOf(v.(*core.RunSummary))
-					continue
-				}
-			}
-			miss = append(miss, k)
+	// runGroup executes the seeds of one (row, intensity, strategy[, kind])
+	// group. Fault-free (intensity zero) groups go through core's seed-group
+	// runner — their per-index plans never act, so a draw-free probe serves
+	// every seed. A firing injector makes each seed's run depend on its own
+	// plan, so faulted groups run seed by seed; in a group of more than one
+	// seed each counts as a fallback. Cache keys and plan seeds depend only on
+	// the flat index, so outcomes are byte-identical in either layout.
+	runGroup := func(ctx context.Context, g int, seeds []uint64) (groupOutcome, error) {
+		d, _, intensity, st, kinds := decode(g)
+		plan := func(seed uint64) fault.Plan {
+			return fault.NewPlan(planSeed(cfg.FaultSeed, g*cfg.Seeds+int(seed)-1), intensity, kinds...).ScaledTo(d.model)
 		}
-		if len(miss) == 0 {
-			return bo, nil
+		faultRun := func(seed uint64) core.FaultRun {
+			return core.FaultRun{Injector: plan(seed).Injector(), MaxSteps: cfg.MaxSteps, Scratch: scratchFrom(ctx)}
+		}
+		key := func(seed uint64) string {
+			p := plan(seed)
+			return core.RunKey("MP", d.alg.Name(), spec, d.model, st, seed, cfg.MaxSteps, &p)
+		}
+		wrap := func(_ uint64, err error) error {
+			return fmt.Errorf("fault sweep %s i=%.2f: %w", d.name, intensity, err)
 		}
 		if intensity == 0 {
-			seeds := make([]uint64, len(miss))
-			frs := make([]core.FaultRun, len(miss))
-			for j, k := range miss {
-				seeds[j] = uint64(k) + 1
-				frs[j] = core.FaultRun{Injector: plans[k].Injector(), MaxSteps: cfg.MaxSteps, Scratch: rs}
-			}
-			sums, stats, err := core.BatchRunMPFaulted(ctx, d.alg, spec, d.model, st, seeds, frs)
-			bo.stats = stats
-			if err != nil {
-				inner := err
-				var be *core.BatchError
-				if errors.As(err, &be) {
-					inner = be.Err
+			return cachedGroup(ctx, seeds, key, func(miss []uint64, _ bool) ([]runOutcome, []*core.RunSummary, core.BatchStats, error) {
+				frs := make([]core.FaultRun, len(miss))
+				for j, seed := range miss {
+					frs[j] = faultRun(seed)
 				}
-				return bo, fmt.Errorf("fault sweep %s i=%.2f: %w", d.name, intensity, inner)
-			}
-			for j, k := range miss {
-				if cache != nil {
-					cache.Put(keys[k], sums[j])
+				return summarized(core.BatchRunMPFaulted(ctx, d.alg, spec, d.model, st, miss, frs))
+			}, wrap)
+		}
+		return cachedGroup(ctx, seeds, key, func(miss []uint64, keep bool) ([]runOutcome, []*core.RunSummary, core.BatchStats, error) {
+			var stats core.BatchStats
+			outs := make([]runOutcome, len(miss))
+			sums := make([]*core.RunSummary, len(miss))
+			for j, seed := range miss {
+				rep, err := core.RunMPFaulted(ctx, d.alg, spec, d.model, st, seed, faultRun(seed))
+				if err != nil {
+					return nil, nil, stats, err
 				}
-				bo.outs[k] = faultOutcomeOf(sums[j])
+				if keep {
+					sums[j] = core.Summarize(rep)
+					outs[j] = outcomeOf(sums[j])
+				} else {
+					outs[j] = outcomeOfReport(rep)
+				}
+				if len(seeds) > 1 {
+					stats.Fallbacks++
+				}
 			}
-			return bo, nil
-		}
-		for _, k := range miss {
-			rep, err := core.RunMPFaulted(ctx, d.alg, spec, d.model, st, uint64(k)+1,
-				core.FaultRun{Injector: plans[k].Injector(), MaxSteps: cfg.MaxSteps, Scratch: rs})
-			if err != nil {
-				return bo, fmt.Errorf("fault sweep %s i=%.2f: %w", d.name, intensity, err)
-			}
-			if cache != nil {
-				sum := core.Summarize(rep)
-				cache.Put(keys[k], sum)
-				bo.outs[k] = faultOutcomeOf(sum)
-			} else {
-				bo.outs[k] = faultOutcomeOfReport(rep)
-			}
-			bo.stats.Fallbacks++
-		}
-		return bo, nil
+			return outs, sums, stats, nil
+		}, wrap)
 	}
 
-	var outs []faultOutcome
-	if cfg.NoSeedBatch {
-		outs, err = engine.Map(ctx, cfg.engineOrNew(), grand,
-			func(i int) string {
-				d, intensity, st, seed, _ := decode(i)
-				if i >= total {
-					return fmt.Sprintf("fault %s/%v i=%.2f %v seed %d",
-						d.name, kindAxis[(i-total)/total], intensity, st, seed)
-				}
-				return fmt.Sprintf("fault %s i=%.2f %v seed %d", d.name, intensity, st, seed)
-			},
-			func(ctx context.Context, i int) (faultOutcome, error) {
-				d, intensity, st, seed, kinds := decode(i)
-				plan := fault.NewPlan(planSeed(cfg.FaultSeed, i), intensity, kinds...).ScaledTo(d.model)
-				run := func() (*core.Report, error) {
-					return core.RunMPFaulted(ctx, d.alg, spec, d.model, st, seed,
-						core.FaultRun{Injector: plan.Injector(), MaxSteps: cfg.MaxSteps, Scratch: scratchFrom(ctx)})
-				}
-				if engine.RunCacheFrom(ctx) != nil {
-					key := core.RunKey("MP", d.alg.Name(), spec, d.model, st, seed, cfg.MaxSteps, &plan)
-					sum, err := cachedRun(ctx, key, run)
-					if err != nil {
-						return faultOutcome{}, fmt.Errorf("fault sweep %s i=%.2f: %w", d.name, intensity, err)
-					}
-					return faultOutcomeOf(sum), nil
-				}
-				rep, err := run()
-				if err != nil {
-					return faultOutcome{}, fmt.Errorf("fault sweep %s i=%.2f: %w", d.name, intensity, err)
-				}
-				return faultOutcomeOfReport(rep), nil
-			})
-	} else {
-		var bouts []faultBatchOutcome
-		bouts, err = engine.Map(ctx, cfg.engineOrNew(), grand/cfg.Seeds,
-			func(g int) string {
-				i := g * cfg.Seeds
-				d, intensity, st, _, _ := decode(i)
-				if i >= total {
-					return fmt.Sprintf("fault %s/%v i=%.2f %v seeds 1-%d",
-						d.name, kindAxis[(i-total)/total], intensity, st, cfg.Seeds)
-				}
-				return fmt.Sprintf("fault %s i=%.2f %v seeds 1-%d", d.name, intensity, st, cfg.Seeds)
-			},
-			runGroup)
-		if err == nil {
-			outs = make([]faultOutcome, grand)
-			for g, b := range bouts {
-				copy(outs[g*cfg.Seeds:(g+1)*cfg.Seeds], b.outs)
-			}
-		}
-	}
+	outs, err := runGroups(ctx, cfg.engineOrNew(), copies*groups, cfg.Seeds, cfg.NoSeedBatch,
+		func(g int) string {
+			_, name, intensity, st, _ := decode(g)
+			return fmt.Sprintf("fault %s i=%.2f %v", name, intensity, st)
+		},
+		runGroup)
 	if err != nil {
 		return nil, err
 	}

@@ -35,16 +35,15 @@ func SweepSporadicVsSemiSync(s, n int, c1, c2, d2 sim.Duration, steps, seeds int
 	}
 	spec := core.Spec{S: s, N: n}
 	// Groups 2i / 2i+1 hold point i's semi-sync and sporadic matrices.
-	var runs []mpRun
+	var groups []mpGroup
 	d1s := make([]sim.Duration, steps)
 	for i := 0; i < steps; i++ {
 		d1s[i] = d2 - d2*sim.Duration(i)/sim.Duration(steps-1) // d2 -> 0
-		runs = expandMP(runs, 2*i, "F6 semisync", semisync.NewMP(semisync.Auto), spec,
-			timing.NewSemiSynchronous(c1, c2, d2), seeds)
-		runs = expandMP(runs, 2*i+1, fmt.Sprintf("F6 sporadic d1=%v", d1s[i]), sporadic.NewMP(), spec,
-			timing.NewSporadic(c1, d1s[i], d2, c2), seeds)
+		groups = append(groups,
+			mpGroup{"F6 semisync", semisync.NewMP(semisync.Auto), spec, timing.NewSemiSynchronous(c1, c2, d2)},
+			mpGroup{fmt.Sprintf("F6 sporadic d1=%v", d1s[i]), sporadic.NewMP(), spec, timing.NewSporadic(c1, d1s[i], d2, c2)})
 	}
-	max, err := maxFinishByGroup(context.Background(), engine.New(), runs, 2*steps, false)
+	max, err := maxFinishByGroup(context.Background(), engine.New(), groups, seeds, false)
 	if err != nil {
 		return nil, fmt.Errorf("F6: %w", err)
 	}

@@ -31,6 +31,7 @@ import (
 	"sessionproblem/internal/bounds"
 	"sessionproblem/internal/core"
 	"sessionproblem/internal/engine"
+	"sessionproblem/internal/fault"
 	"sessionproblem/internal/sim"
 	"sessionproblem/internal/stats"
 	"sessionproblem/internal/timing"
@@ -58,10 +59,11 @@ type Config struct {
 	Engine *engine.Engine
 
 	// NoSeedBatch disables seed batching: every (strategy, seed) run becomes
-	// its own engine task instead of one task per seed group, and no seed
-	// is served from another seed's run. Results are byte-identical either
-	// way; this is an escape hatch for debugging and for isolating per-run
-	// timings, and the reference the differential tests compare against.
+	// its own engine task, a seed group of one on the same path as the
+	// default layout, so no seed is served from another seed's run. Results
+	// are byte-identical either way; this is an escape hatch for debugging
+	// and for isolating per-run timings, and the reference the differential
+	// tests compare against.
 	NoSeedBatch bool
 }
 
@@ -169,26 +171,18 @@ func (c Cell) Verdict() string {
 	}
 }
 
-// runOutcome is what one engine task returns: the measurements cell
-// aggregation needs plus the scalar counts for engine-level accounting.
-// Deliberately report-free so cache hits (which have no report) and live
-// runs produce indistinguishable outcomes.
+// runOutcome is one run's projection onto the scalars every aggregation
+// reads: finish, rounds and γ for Table 1 and the sweeps, the audit verdict
+// and silent flag for the fault sweep, and the counts engine accounting
+// reads. Report-free, so a cache hit and a live run project identically.
 type runOutcome struct {
-	finish float64
-	rounds int
-	gamma  sim.Duration
+	finish  float64
+	rounds  int
+	gamma   sim.Duration
+	verdict fault.Verdict
+	silent  bool
 
 	steps, sessions, messages, faults int
-}
-
-// Account feeds the run's simulator counts into engine.Stats.
-func (r runOutcome) Account() engine.Counts {
-	return engine.Counts{
-		Steps:    r.steps,
-		Sessions: r.sessions,
-		Messages: r.messages,
-		Faults:   r.faults,
-	}
 }
 
 // outcomeOf projects a run summary onto the harness outcome.
@@ -197,6 +191,8 @@ func outcomeOf(sum *core.RunSummary) runOutcome {
 		finish:   float64(sum.Finish),
 		rounds:   sum.Rounds,
 		gamma:    sum.Gamma,
+		verdict:  sum.Audit.Verdict,
+		silent:   sum.Audit.Silent(),
 		steps:    sum.Steps,
 		sessions: sum.Sessions,
 		messages: sum.Messages,
@@ -204,14 +200,17 @@ func outcomeOf(sum *core.RunSummary) runOutcome {
 	}
 }
 
-// outcomeOfReport is outcomeOf without the summary detour, for the
-// cache-free path; the two derive every field identically, so enabling the
-// cache never changes a result.
+// outcomeOfReport is outcomeOf without the summary detour, for faulted runs
+// no cache keeps: summarizing them would copy every violation list only to
+// drop it. The two derive every field identically, so attaching a cache
+// never changes a result.
 func outcomeOfReport(rep *core.Report) runOutcome {
 	return runOutcome{
 		finish:   float64(rep.Finish),
 		rounds:   rep.Rounds,
 		gamma:    rep.Gamma,
+		verdict:  rep.Audit.Verdict,
+		silent:   rep.Audit.Silent(),
 		steps:    rep.Steps(),
 		sessions: rep.Sessions,
 		messages: rep.Messages,
@@ -219,122 +218,156 @@ func outcomeOfReport(rep *core.Report) runOutcome {
 	}
 }
 
-// cachedRun wraps a verified run with the content-addressed cache the
-// engine exposes (if any): equal keys return the memoized summary without
-// simulating; misses run, summarize and populate. Errors are never cached —
-// which is also what makes journaled resume safe: only verified summaries
-// reach Put, so replaying a crashed sweep's journal (internal/journal) can
-// resurrect finished work but never a failure.
-func cachedRun(ctx context.Context, key string, run func() (*core.Report, error)) (*core.RunSummary, error) {
-	cache := engine.RunCacheFrom(ctx)
-	if cache != nil {
-		if v, ok := cache.Get(key); ok {
-			return v.(*core.RunSummary), nil
-		}
-	}
-	rep, err := run()
-	if err != nil {
-		return nil, err
-	}
-	sum := core.Summarize(rep)
-	if cache != nil {
-		cache.Put(key, sum)
-	}
-	return sum, nil
-}
-
-// batchOutcome is what one batched engine task returns: one (algorithm,
-// model, strategy) seed group's outcomes in seed order, plus the batch
-// layer's accounting for the group.
-type batchOutcome struct {
+// groupOutcome is the harness's one engine task result: a seed group's
+// outcomes in seed order plus the seed-group layer's accounting for it.
+// Runs are projected inside the task, so no summary outlives it.
+type groupOutcome struct {
 	outs  []runOutcome
 	stats core.BatchStats
 }
 
-// Account feeds the group's simulator counts and batch accounting into
-// engine.Stats: each seed's run counts once, exactly as it would have as its
-// own task.
-func (b batchOutcome) Account() engine.Counts {
-	var c engine.Counts
-	for _, o := range b.outs {
+// Account feeds the group's counts into engine.Stats: each seed's run counts
+// once, exactly as it would have as its own task.
+func (g groupOutcome) Account() engine.Counts {
+	c := engine.Counts{BatchForks: g.stats.Forks, BatchFallbacks: g.stats.Fallbacks}
+	for _, o := range g.outs {
 		c.Steps += o.steps
 		c.Sessions += o.sessions
 		c.Messages += o.messages
 		c.Faults += o.faults
 	}
-	c.BatchForks = b.stats.Forks
-	c.BatchFallbacks = b.stats.Fallbacks
 	return c
 }
 
-// seedAxis returns the harness's seed axis 1..n.
-func seedAxis(n int) []uint64 {
-	seeds := make([]uint64, n)
+// runGroups is the harness's one task layout: n groups, each run over seeds
+// 1..k. Every group is one engine task, or with noBatch every seed is its
+// own task, a group of one, so no seed is served from another seed's run.
+// Tasks are labelled "<prefix(g)> seeds 1-k" and "<prefix(g)> seed i"
+// (sessiond streams these labels), and run executes a group's seeds. The
+// outcomes come back flat and group-major — group g's seed i at g*k+i-1 —
+// whatever the layout and parallelism.
+func runGroups(ctx context.Context, eng *engine.Engine, n, k int, noBatch bool,
+	prefix func(g int) string,
+	run func(ctx context.Context, g int, seeds []uint64) (groupOutcome, error)) ([]runOutcome, error) {
+	seeds := make([]uint64, k)
 	for i := range seeds {
 		seeds[i] = uint64(i) + 1
 	}
-	return seeds
+	// span maps task t to its group and the group's seeds[lo:hi].
+	tasks, span := n, func(t int) (g, lo, hi int) { return t, 0, k }
+	if noBatch {
+		tasks, span = n*k, func(t int) (g, lo, hi int) { return t / k, t % k, t%k + 1 }
+	}
+	gos, err := engine.Map(ctx, eng, tasks,
+		func(t int) string {
+			g, lo, _ := span(t)
+			if noBatch {
+				return fmt.Sprintf("%s seed %d", prefix(g), seeds[lo])
+			}
+			return fmt.Sprintf("%s seeds 1-%d", prefix(g), k)
+		},
+		func(ctx context.Context, t int) (groupOutcome, error) {
+			g, lo, hi := span(t)
+			return run(ctx, g, seeds[lo:hi])
+		})
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]runOutcome, 0, n*k)
+	for _, g := range gos {
+		outs = append(outs, g.outs...)
+	}
+	return outs, nil
 }
 
-// batchSeedGroup runs one (algorithm, model, strategy) seed group through
-// core's seed-group runner while preserving the solo path's per-seed cache
-// protocol: every seed keeps its own content-addressed slot, hits skip
-// simulation entirely, and only the misses enter the group run (a single
-// miss is a probe with nothing to share). Outcomes and cache contents are
-// byte-identical to the per-seed path.
-// Exactly one of smAlg/mpAlg is set; wrap renders a failure with the seed it
-// is attributed to.
-func batchSeedGroup(ctx context.Context, smAlg core.SMAlgorithm, mpAlg core.MPAlgorithm, comm string, spec core.Spec, m timing.Model, st timing.Strategy, seeds []uint64, wrap func(seed uint64, err error) error) (batchOutcome, error) {
-	bo := batchOutcome{outs: make([]runOutcome, len(seeds))}
-	name := ""
-	if smAlg != nil {
-		name = smAlg.Name()
-	} else {
-		name = mpAlg.Name()
+// groupRunner runs a seed group's cache misses together. It returns one
+// outcome per seed and, when keep is set, the verified summary the cache
+// stores for each.
+type groupRunner func(seeds []uint64, keep bool) ([]runOutcome, []*core.RunSummary, core.BatchStats, error)
+
+// summarized adapts a core seed-group runner's results, whose summaries
+// serve both the outcomes and the cache, to a groupRunner's.
+func summarized(sums []*core.RunSummary, stats core.BatchStats, err error) ([]runOutcome, []*core.RunSummary, core.BatchStats, error) {
+	outs := make([]runOutcome, len(sums))
+	for j, sum := range sums {
+		outs[j] = outcomeOf(sum)
 	}
+	return outs, sums, stats, err
+}
+
+// cachedGroup is the harness's one cache protocol. With a run cache
+// attached to ctx, every seed keeps its own content-addressed slot (key
+// renders it; without a cache no key is rendered): hits skip simulation,
+// the misses run together through run, and only verified summaries reach
+// Put. Errors are never cached — which is also what makes journaled resume
+// safe: replaying a crashed sweep's journal (internal/journal) can
+// resurrect finished work but never a failure. wrap renders a failure with
+// the seed it is attributed to.
+func cachedGroup(ctx context.Context, seeds []uint64, key func(seed uint64) string, run groupRunner, wrap func(seed uint64, err error) error) (groupOutcome, error) {
+	g := groupOutcome{outs: make([]runOutcome, len(seeds))}
 	cache := engine.RunCacheFrom(ctx)
-	key := func(seed uint64) string {
-		return core.RunKey(comm, name, spec, m, st, seed, 0, nil)
+	var keys []string
+	if cache != nil {
+		keys = make([]string, len(seeds))
 	}
-	miss := make([]int, 0, len(seeds))
+	missAt := make([]int, 0, len(seeds))
+	miss := make([]uint64, 0, len(seeds))
 	for i, seed := range seeds {
 		if cache != nil {
-			if v, ok := cache.Get(key(seed)); ok {
-				bo.outs[i] = outcomeOf(v.(*core.RunSummary))
+			keys[i] = key(seed)
+			if v, ok := cache.Get(keys[i]); ok {
+				g.outs[i] = outcomeOf(v.(*core.RunSummary))
 				continue
 			}
 		}
-		miss = append(miss, i)
+		missAt = append(missAt, i)
+		miss = append(miss, seed)
 	}
 	if len(miss) == 0 {
-		return bo, nil
+		return g, nil
 	}
-	missSeeds := make([]uint64, len(miss))
-	for j, i := range miss {
-		missSeeds[j] = seeds[i]
-	}
-	var sums []*core.RunSummary
-	var err error
-	if smAlg != nil {
-		sums, bo.stats, err = core.BatchRunSM(ctx, smAlg, spec, m, st, missSeeds, scratchFrom(ctx))
-	} else {
-		sums, bo.stats, err = core.BatchRunMP(ctx, mpAlg, spec, m, st, missSeeds, scratchFrom(ctx))
-	}
+	outs, sums, stats, err := run(miss, cache != nil)
+	g.stats = stats
 	if err != nil {
-		seed, inner := missSeeds[0], err
+		seed, inner := miss[0], err
 		var be *core.BatchError
 		if errors.As(err, &be) {
 			seed, inner = be.Seed, be.Err
 		}
-		return bo, wrap(seed, inner)
+		return g, wrap(seed, inner)
 	}
-	for j, i := range miss {
+	for j, i := range missAt {
 		if cache != nil {
-			cache.Put(key(seeds[i]), sums[j])
+			cache.Put(keys[i], sums[j])
 		}
-		bo.outs[i] = outcomeOf(sums[j])
+		g.outs[i] = outs[j]
 	}
-	return bo, nil
+	return g, nil
+}
+
+// batchSeedGroup runs one (algorithm, model, strategy) seed group through
+// core's seed-group runner, trace-free, under cachedGroup's cache protocol:
+// only the cache misses enter the group run, and a single miss (every
+// group of one among them) is a probe with nothing to share. Outcomes and
+// cache contents are byte-identical to solo runs of each seed. Exactly one
+// of smAlg/mpAlg is set; wrap renders a failure with the seed it is
+// attributed to.
+func batchSeedGroup(ctx context.Context, smAlg core.SMAlgorithm, mpAlg core.MPAlgorithm, comm string, spec core.Spec, m timing.Model, st timing.Strategy, seeds []uint64, wrap func(seed uint64, err error) error) (groupOutcome, error) {
+	key := func(seed uint64) string {
+		name := ""
+		if smAlg != nil {
+			name = smAlg.Name()
+		} else {
+			name = mpAlg.Name()
+		}
+		return core.RunKey(comm, name, spec, m, st, seed, 0, nil)
+	}
+	return cachedGroup(ctx, seeds, key, func(miss []uint64, _ bool) ([]runOutcome, []*core.RunSummary, core.BatchStats, error) {
+		if smAlg != nil {
+			return summarized(core.BatchRunSM(ctx, smAlg, spec, m, st, miss, scratchFrom(ctx)))
+		}
+		return summarized(core.BatchRunMP(ctx, mpAlg, spec, m, st, miss, scratchFrom(ctx)))
+	}, wrap)
 }
 
 // cellDef declares one Table-1 cell's run matrix: which algorithm under
@@ -359,40 +392,6 @@ func (d cellDef) name() string {
 		return d.smAlg.Name()
 	}
 	return d.mpAlg.Name()
-}
-
-// runOnce executes one (strategy, seed) entry of the cell's matrix,
-// consulting the engine's run cache (when one is attached) so overlapping
-// matrices simulate each unique run once.
-func (d cellDef) runOnce(ctx context.Context, st timing.Strategy, seed uint64) (runOutcome, error) {
-	run := func() (*core.Report, error) {
-		if d.smAlg != nil {
-			return core.RunSMStream(ctx, d.smAlg, d.spec, d.model, st, seed, scratchFrom(ctx), core.StreamOptions{})
-		}
-		return core.RunMPStream(ctx, d.mpAlg, d.spec, d.model, st, seed, scratchFrom(ctx), core.StreamOptions{})
-	}
-	if engine.RunCacheFrom(ctx) != nil {
-		key := core.RunKey(d.comm, d.name(), d.spec, d.model, st, seed, 0, nil)
-		sum, err := cachedRun(ctx, key, run)
-		if err != nil {
-			return runOutcome{}, fmt.Errorf("%s/%s %v seed %d: %w", d.row, d.comm, st, seed, err)
-		}
-		return outcomeOf(sum), nil
-	}
-	rep, err := run()
-	if err != nil {
-		return runOutcome{}, fmt.Errorf("%s/%s %v seed %d: %w", d.row, d.comm, st, seed, err)
-	}
-	return outcomeOfReport(rep), nil
-}
-
-// runSeeds executes the cell's whole seed group for one strategy as a single
-// batched task; see batchSeedGroup.
-func (d cellDef) runSeeds(ctx context.Context, st timing.Strategy, seeds []uint64) (batchOutcome, error) {
-	return batchSeedGroup(ctx, d.smAlg, d.mpAlg, d.comm, d.spec, d.model, st, seeds,
-		func(seed uint64, err error) error {
-			return fmt.Errorf("%s/%s %v seed %d: %w", d.row, d.comm, st, seed, err)
-		})
 }
 
 // aggregate folds the cell's index-ordered run outcomes into a Cell. The
@@ -493,48 +492,23 @@ func Table1Ctx(ctx context.Context, cfg Config) ([]Cell, error) {
 	cfg = cfg.withDefaults()
 	defs := table1Defs(cfg)
 	sts := timing.AllStrategies()
-	per := len(sts) * cfg.Seeds
-
-	var outs []runOutcome
-	var err error
-	if cfg.NoSeedBatch {
-		outs, err = engine.Map(ctx, cfg.engineOrNew(), len(defs)*per,
-			func(i int) string {
-				d := defs[i/per]
-				return fmt.Sprintf("%s/%s %v seed %d",
-					d.row, d.comm, sts[(i%per)/cfg.Seeds], i%cfg.Seeds+1)
-			},
-			func(ctx context.Context, i int) (runOutcome, error) {
-				d := defs[i/per]
-				j := i % per
-				return d.runOnce(ctx, sts[j/cfg.Seeds], uint64(j%cfg.Seeds)+1)
-			})
-	} else {
-		// Batched: one task per (cell, strategy) seed group. Flattening the
-		// group outcomes back into the flat matrix layout keeps aggregation
-		// identical to the per-seed path at any parallelism.
-		seeds := seedAxis(cfg.Seeds)
-		var bouts []batchOutcome
-		bouts, err = engine.Map(ctx, cfg.engineOrNew(), len(defs)*len(sts),
-			func(g int) string {
-				d := defs[g/len(sts)]
-				return fmt.Sprintf("%s/%s %v seeds 1-%d",
-					d.row, d.comm, sts[g%len(sts)], cfg.Seeds)
-			},
-			func(ctx context.Context, g int) (batchOutcome, error) {
-				return defs[g/len(sts)].runSeeds(ctx, sts[g%len(sts)], seeds)
-			})
-		if err == nil {
-			outs = make([]runOutcome, len(defs)*per)
-			for g, b := range bouts {
-				copy(outs[g*cfg.Seeds:(g+1)*cfg.Seeds], b.outs)
-			}
-		}
-	}
+	outs, err := runGroups(ctx, cfg.engineOrNew(), len(defs)*len(sts), cfg.Seeds, cfg.NoSeedBatch,
+		func(g int) string {
+			d := defs[g/len(sts)]
+			return fmt.Sprintf("%s/%s %v", d.row, d.comm, sts[g%len(sts)])
+		},
+		func(ctx context.Context, g int, seeds []uint64) (groupOutcome, error) {
+			d, st := defs[g/len(sts)], sts[g%len(sts)]
+			return batchSeedGroup(ctx, d.smAlg, d.mpAlg, d.comm, d.spec, d.model, st, seeds,
+				func(seed uint64, err error) error {
+					return fmt.Errorf("%s/%s %v seed %d: %w", d.row, d.comm, st, seed, err)
+				})
+		})
 	if err != nil {
 		return nil, err
 	}
 
+	per := len(sts) * cfg.Seeds
 	cells := make([]Cell, len(defs))
 	for ci, d := range defs {
 		cells[ci] = d.aggregate(cfg, outs[ci*per:(ci+1)*per])

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -231,7 +232,7 @@ func TestWriteSweepAndHierarchy(t *testing.T) {
 }
 
 func TestSweepDiameter(t *testing.T) {
-	pts, err := SweepDiameter(3, 6, 3, 10, 1)
+	pts, err := SweepDiameter(context.Background(), 3, 6, 3, 10, 1)
 	if err != nil {
 		t.Fatalf("SweepDiameter: %v", err)
 	}
@@ -255,6 +256,16 @@ func TestSweepDiameter(t *testing.T) {
 	}
 	if byName["complete"].Diameter != 1 || byName["line"].Diameter != 5 {
 		t.Errorf("diameters wrong: %+v", byName)
+	}
+}
+
+// TestSweepDiameterHonoursCancellation: a cancelled context stops the F5
+// sweep with context.Canceled instead of running every topology.
+func TestSweepDiameterHonoursCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := SweepDiameter(ctx, 3, 6, 3, 10, 2, "ring", "grid"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled F5 sweep returned %v, want context.Canceled", err)
 	}
 }
 

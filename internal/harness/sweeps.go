@@ -29,133 +29,44 @@ type SweepPoint struct {
 	PaperUpper float64
 }
 
-// mpRun is one (algorithm, model, strategy, seed) execution in a sweep's
-// run matrix, tagged with the aggregation group it belongs to (a sweep
-// point, a comparison contender, a hierarchy row).
-type mpRun struct {
-	group int
+// mpGroup is one aggregation group of a sweep's run matrix (a sweep point,
+// a comparison contender, a hierarchy row): an MP algorithm under one
+// model, run under every strategy over the sweep's seeds.
+type mpGroup struct {
 	label string
 	alg   core.MPAlgorithm
 	spec  core.Spec
 	model timing.Model
-	st    timing.Strategy
-	seed  uint64
 }
 
-// expandMP appends the full strategies × seeds matrix for one group.
-func expandMP(runs []mpRun, group int, label string, alg core.MPAlgorithm, spec core.Spec, m timing.Model, seeds int) []mpRun {
-	for _, st := range timing.AllStrategies() {
-		for seed := uint64(1); seed <= uint64(seeds); seed++ {
-			runs = append(runs, mpRun{
-				group: group, label: label,
-				alg: alg, spec: spec, model: m, st: st, seed: seed,
-			})
-		}
-	}
-	return runs
-}
-
-// maxFinishByGroup fans runs across the engine and returns, per group, the
-// worst (maximum) finish time. Group aggregation visits results in run
-// order, so the output is independent of parallelism. Unless noBatch is set,
-// consecutive runs differing only by seed (expandMP emits seeds innermost)
-// collapse into one batched task each; the flattened outcomes are
-// byte-identical to the per-run path.
-func maxFinishByGroup(ctx context.Context, eng *engine.Engine, runs []mpRun, groups int, noBatch bool) ([]float64, error) {
-	if !noBatch {
-		return maxFinishByGroupBatched(ctx, eng, runs, groups)
-	}
-	outs, err := engine.Map(ctx, eng, len(runs),
-		func(i int) string {
-			r := runs[i]
-			return fmt.Sprintf("%s %v seed %d", r.label, r.st, r.seed)
+// maxFinishByGroup runs every group under every strategy over seeds 1..k,
+// one seed-group task per (group, strategy) or, with noBatch, one task per
+// seed, and returns each group's worst (maximum) finish time. Aggregation
+// visits outcomes in matrix order, so the result is independent of layout
+// and parallelism.
+func maxFinishByGroup(ctx context.Context, eng *engine.Engine, groups []mpGroup, k int, noBatch bool) ([]float64, error) {
+	sts := timing.AllStrategies()
+	outs, err := runGroups(ctx, eng, len(groups)*len(sts), k, noBatch,
+		func(g int) string {
+			return fmt.Sprintf("%s %v", groups[g/len(sts)].label, sts[g%len(sts)])
 		},
-		func(ctx context.Context, i int) (runOutcome, error) {
-			r := runs[i]
-			run := func() (*core.Report, error) {
-				return core.RunMPStream(ctx, r.alg, r.spec, r.model, r.st, r.seed, scratchFrom(ctx), core.StreamOptions{})
-			}
-			if engine.RunCacheFrom(ctx) != nil {
-				// Same key space as the Table-1 cells: a hierarchy or sweep
-				// run that coincides with a table run is the same computation
-				// and shares its cache slot.
-				key := core.RunKey("MP", r.alg.Name(), r.spec, r.model, r.st, r.seed, 0, nil)
-				sum, err := cachedRun(ctx, key, run)
-				if err != nil {
-					return runOutcome{}, fmt.Errorf("%s: %w", r.label, err)
-				}
-				return outcomeOf(sum), nil
-			}
-			rep, err := run()
-			if err != nil {
-				return runOutcome{}, fmt.Errorf("%s: %w", r.label, err)
-			}
-			return outcomeOfReport(rep), nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	max := make([]float64, groups)
-	for i, o := range outs {
-		g := runs[i].group
-		if o.finish > max[g] {
-			max[g] = o.finish
-		}
-	}
-	return max, nil
-}
-
-// seedSpan is a maximal consecutive slice runs[lo:hi] sharing a (group,
-// strategy) pair — within which expandMP varies only the seed.
-type seedSpan struct{ lo, hi int }
-
-// seedSpans chunks an expandMP run list into seed spans.
-func seedSpans(runs []mpRun) []seedSpan {
-	var spans []seedSpan
-	for lo := 0; lo < len(runs); {
-		hi := lo + 1
-		for hi < len(runs) && runs[hi].group == runs[lo].group && runs[hi].st == runs[lo].st {
-			hi++
-		}
-		spans = append(spans, seedSpan{lo, hi})
-		lo = hi
-	}
-	return spans
-}
-
-// maxFinishByGroupBatched is the seed-batched form of maxFinishByGroup: the
-// run list is chunked into seed spans and each span runs as one batched
-// task.
-func maxFinishByGroupBatched(ctx context.Context, eng *engine.Engine, runs []mpRun, groups int) ([]float64, error) {
-	spans := seedSpans(runs)
-	bouts, err := engine.Map(ctx, eng, len(spans),
-		func(i int) string {
-			sp := spans[i]
-			r := runs[sp.lo]
-			return fmt.Sprintf("%s %v seeds %d-%d", r.label, r.st, r.seed, runs[sp.hi-1].seed)
-		},
-		func(ctx context.Context, i int) (batchOutcome, error) {
-			sp := spans[i]
-			r := runs[sp.lo]
-			seeds := make([]uint64, 0, sp.hi-sp.lo)
-			for _, rr := range runs[sp.lo:sp.hi] {
-				seeds = append(seeds, rr.seed)
-			}
-			return batchSeedGroup(ctx, nil, r.alg, "MP", r.spec, r.model, r.st, seeds,
-				func(seed uint64, err error) error {
+		func(ctx context.Context, g int, seeds []uint64) (groupOutcome, error) {
+			r := groups[g/len(sts)]
+			// Same key space as the Table-1 cells: a hierarchy or sweep run
+			// that coincides with a table run is the same computation and
+			// shares its cache slot.
+			return batchSeedGroup(ctx, nil, r.alg, "MP", r.spec, r.model, sts[g%len(sts)], seeds,
+				func(_ uint64, err error) error {
 					return fmt.Errorf("%s: %w", r.label, err)
 				})
 		})
 	if err != nil {
 		return nil, err
 	}
-	max := make([]float64, groups)
-	for i, sp := range spans {
-		for j, o := range bouts[i].outs {
-			g := runs[sp.lo+j].group
-			if o.finish > max[g] {
-				max[g] = o.finish
-			}
+	max := make([]float64, len(groups))
+	for i, o := range outs {
+		if g := i / (len(sts) * k); o.finish > max[g] {
+			max[g] = o.finish
 		}
 	}
 	return max, nil
@@ -164,8 +75,7 @@ func maxFinishByGroupBatched(ctx context.Context, eng *engine.Engine, runs []mpR
 // maxFinishMP runs an MP algorithm across strategies/seeds and returns the
 // worst running time and worst per-session time.
 func maxFinishMP(ctx context.Context, eng *engine.Engine, alg core.MPAlgorithm, spec core.Spec, m timing.Model, seeds int) (finish, perSession float64, err error) {
-	runs := expandMP(nil, 0, alg.Name(), alg, spec, m, seeds)
-	max, err := maxFinishByGroup(ctx, eng, runs, 1, false)
+	max, err := maxFinishByGroup(ctx, eng, []mpGroup{{alg.Name(), alg, spec, m}}, seeds, false)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -227,7 +137,8 @@ type SweepSpec struct {
 	// Parallelism.
 	Engine *engine.Engine
 
-	// NoSeedBatch disables seed batching; see Config.NoSeedBatch.
+	// NoSeedBatch runs every (strategy, seed) run as its own engine task, a
+	// seed group of one; see Config.NoSeedBatch.
 	NoSeedBatch bool
 }
 
@@ -273,14 +184,14 @@ func sweepSporadicDelay(ctx context.Context, sp SweepSpec) ([]SweepPoint, error)
 		steps = 2
 	}
 	spec := core.Spec{S: sp.S, N: sp.N}
-	var runs []mpRun
 	d1s := make([]sim.Duration, steps)
-	for i := 0; i < steps; i++ {
+	groups := make([]mpGroup, steps)
+	for i := range groups {
 		d1s[i] = sp.D2 * sim.Duration(i) / sim.Duration(steps-1)
-		m := timing.NewSporadic(sp.C1, d1s[i], sp.D2, 2*sp.C1)
-		runs = expandMP(runs, i, fmt.Sprintf("F1 d1=%v", d1s[i]), sporadic.NewMP(), spec, m, sp.Seeds)
+		groups[i] = mpGroup{fmt.Sprintf("F1 d1=%v", d1s[i]), sporadic.NewMP(), spec,
+			timing.NewSporadic(sp.C1, d1s[i], sp.D2, 2*sp.C1)}
 	}
-	max, err := maxFinishByGroup(ctx, sp.engineOrNew(), runs, steps, sp.NoSeedBatch)
+	max, err := maxFinishByGroup(ctx, sp.engineOrNew(), groups, sp.Seeds, sp.NoSeedBatch)
 	if err != nil {
 		return nil, fmt.Errorf("F1: %w", err)
 	}
@@ -308,20 +219,22 @@ func sweepSporadicDelay(ctx context.Context, sp SweepSpec) ([]SweepPoint, error)
 // paper: the periodic model is more efficient when n is constant relative
 // to s.
 func sweepPeriodicVsSemiSync(ctx context.Context, sp SweepSpec) ([]SweepPoint, error) {
-	var runs []mpRun
 	numS := sp.MaxS - 1 // s = 2..MaxS
 	if numS < 1 {
 		return nil, fmt.Errorf("F2: MaxS must be >= 2, got %d", sp.MaxS)
 	}
+	// Groups 2i / 2i+1 hold point i's periodic and semi-sync matrices.
+	var groups []mpGroup
 	for i := 0; i < numS; i++ {
 		s := i + 2
 		spec := core.Spec{S: s, N: sp.N}
-		runs = expandMP(runs, 2*i, fmt.Sprintf("F2 periodic s=%d", s),
-			periodic.NewMP(), spec, timing.NewPeriodic(sp.C1, sp.C2, sp.D2), sp.Seeds)
-		runs = expandMP(runs, 2*i+1, fmt.Sprintf("F2 semisync s=%d", s),
-			semisync.NewMP(semisync.Auto), spec, timing.NewSemiSynchronous(sp.C1, sp.C2, sp.D2), sp.Seeds)
+		groups = append(groups,
+			mpGroup{fmt.Sprintf("F2 periodic s=%d", s), periodic.NewMP(), spec,
+				timing.NewPeriodic(sp.C1, sp.C2, sp.D2)},
+			mpGroup{fmt.Sprintf("F2 semisync s=%d", s), semisync.NewMP(semisync.Auto), spec,
+				timing.NewSemiSynchronous(sp.C1, sp.C2, sp.D2)})
 	}
-	max, err := maxFinishByGroup(ctx, sp.engineOrNew(), runs, 2*numS, sp.NoSeedBatch)
+	max, err := maxFinishByGroup(ctx, sp.engineOrNew(), groups, sp.Seeds, sp.NoSeedBatch)
 	if err != nil {
 		return nil, fmt.Errorf("F2: %w", err)
 	}
@@ -350,13 +263,12 @@ func sweepPeriodicVsSemiSync(ctx context.Context, sp SweepSpec) ([]SweepPoint, e
 func sweepPeriodicVsSporadic(ctx context.Context, sp SweepSpec) ([]SweepPoint, error) {
 	spec := core.Spec{S: sp.S, N: sp.N}
 	// Group 0 is the sporadic baseline; groups 1.. are the periodic points.
-	runs := expandMP(nil, 0, "F3 sporadic", sporadic.NewMP(), spec,
-		timing.NewSporadic(sp.C1, sp.D1, sp.D2, 0), sp.Seeds)
-	for i, cmax := range sp.Cmaxs {
-		runs = expandMP(runs, i+1, fmt.Sprintf("F3 periodic cmax=%v", cmax),
-			periodic.NewMP(), spec, timing.NewPeriodic(sp.C1, cmax, sp.D2), sp.Seeds)
+	groups := []mpGroup{{"F3 sporadic", sporadic.NewMP(), spec, timing.NewSporadic(sp.C1, sp.D1, sp.D2, 0)}}
+	for _, cmax := range sp.Cmaxs {
+		groups = append(groups, mpGroup{fmt.Sprintf("F3 periodic cmax=%v", cmax), periodic.NewMP(), spec,
+			timing.NewPeriodic(sp.C1, cmax, sp.D2)})
 	}
-	max, err := maxFinishByGroup(ctx, sp.engineOrNew(), runs, len(sp.Cmaxs)+1, sp.NoSeedBatch)
+	max, err := maxFinishByGroup(ctx, sp.engineOrNew(), groups, sp.Seeds, sp.NoSeedBatch)
 	if err != nil {
 		return nil, fmt.Errorf("F3: %w", err)
 	}
@@ -418,6 +330,26 @@ type HierarchyRow struct {
 	Algorithm string
 }
 
+// mpRowDef is one message-passing model row of the hierarchy (F4) and the
+// fault sweep: the model's designated algorithm under the model.
+type mpRowDef struct {
+	name  string
+	alg   core.MPAlgorithm
+	model timing.Model
+}
+
+// mpRowDefs lays out the five message-passing model rows at the given
+// constants, fastest model first.
+func mpRowDefs(c1, c2, cmin, cmax, d1, d2 sim.Duration) []mpRowDef {
+	return []mpRowDef{
+		{"synchronous", synchronous.NewMP(), timing.NewSynchronous(c2, d2)},
+		{"periodic", periodic.NewMP(), timing.NewPeriodic(cmin, cmax, d2)},
+		{"semi-synchronous", semisync.NewMP(semisync.Auto), timing.NewSemiSynchronous(c1, c2, d2)},
+		{"sporadic", sporadic.NewMP(), timing.NewSporadic(c1, d1, d2, 0)},
+		{"asynchronous", async.NewMP(), timing.NewAsynchronousMP(c2, d2)},
+	}
+}
+
 // Hierarchy is experiment F4: the worst-case running time of every model's
 // algorithm at one parameter point, exhibiting the ordering
 // synchronous <= periodic <= semi-synchronous/sporadic <= asynchronous the
@@ -432,23 +364,12 @@ func HierarchyCtx(ctx context.Context, cfg Config) ([]HierarchyRow, error) {
 	cfg = cfg.withDefaults()
 	spec := core.Spec{S: cfg.S, N: cfg.N}
 
-	type rowDef struct {
-		name  string
-		alg   core.MPAlgorithm
-		model timing.Model
-	}
-	defs := []rowDef{
-		{"synchronous", synchronous.NewMP(), timing.NewSynchronous(cfg.C2, cfg.D2)},
-		{"periodic", periodic.NewMP(), timing.NewPeriodic(cfg.Cmin, cfg.Cmax, cfg.D2)},
-		{"semi-synchronous", semisync.NewMP(semisync.Auto), timing.NewSemiSynchronous(cfg.C1, cfg.C2, cfg.D2)},
-		{"sporadic", sporadic.NewMP(), timing.NewSporadic(cfg.C1, cfg.D1, cfg.D2, 0)},
-		{"asynchronous", async.NewMP(), timing.NewAsynchronousMP(cfg.C2, cfg.D2)},
-	}
-	var runs []mpRun
+	defs := mpRowDefs(cfg.C1, cfg.C2, cfg.Cmin, cfg.Cmax, cfg.D1, cfg.D2)
+	groups := make([]mpGroup, len(defs))
 	for i, d := range defs {
-		runs = expandMP(runs, i, "F4 "+d.name, d.alg, spec, d.model, cfg.Seeds)
+		groups[i] = mpGroup{"F4 " + d.name, d.alg, spec, d.model}
 	}
-	max, err := maxFinishByGroup(ctx, cfg.engineOrNew(), runs, len(defs), cfg.NoSeedBatch)
+	max, err := maxFinishByGroup(ctx, cfg.engineOrNew(), groups, cfg.Seeds, cfg.NoSeedBatch)
 	if err != nil {
 		return nil, fmt.Errorf("F4: %w", err)
 	}

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"context"
+
 	"sessionproblem/internal/alg/semisync"
 	"sessionproblem/internal/alg/sporadic"
 	"sessionproblem/internal/bounds"
@@ -40,7 +42,7 @@ func Tightness(cfg Config) ([]TightnessRow, error) {
 	{
 		spec := core.Spec{S: cfg.S, N: cfg.N}
 		m := timing.NewSemiSynchronous(cfg.C1, cfg.C2, cfg.D2)
-		slowRep, err := core.RunMP(semisync.NewMP(semisync.Auto), spec, m, timing.Slow, 1)
+		slowRep, err := core.RunMPStream(context.TODO(), semisync.NewMP(semisync.Auto), spec, m, timing.Slow, 1, nil, core.StreamOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +66,7 @@ func Tightness(cfg Config) ([]TightnessRow, error) {
 	{
 		spec := core.Spec{S: cfg.S, N: cfg.N}
 		m := timing.NewSporadic(cfg.C1, cfg.D1, cfg.D2, cfg.C2)
-		slowRep, err := core.RunMP(sporadic.NewMP(), spec, m, timing.Slow, 1)
+		slowRep, err := core.RunMPStream(context.TODO(), sporadic.NewMP(), spec, m, timing.Slow, 1, nil, core.StreamOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -64,7 +64,7 @@ type Stats struct {
 	// BatchForks and BatchFallbacks account the seed-batching layer (see
 	// WithSeedBatching): seeds served from a zero-draw probe run's summary,
 	// and seeds that ran solo after a probe that drew (or in a fault
-	// sweep's faulted group).
+	// sweep's faulted group of more than one seed).
 	BatchForks     int
 	BatchFallbacks int
 	// BatchLanes always reads zero: seed groups no longer run through

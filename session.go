@@ -227,7 +227,7 @@ func Sweep(ctx context.Context, kind SweepKind, opts ...Option) (*SweepResult, e
 	eng := cfg.engine()
 
 	if kind == SweepNetworkDiameter {
-		pts, err := harness.SweepDiameter(cfg.s, cfg.n, cfg.c2, cfg.d2, cfg.seeds, cfg.topologies...)
+		pts, err := harness.SweepDiameter(ctx, cfg.s, cfg.n, cfg.c2, cfg.d2, cfg.seeds, cfg.topologies...)
 		if err != nil {
 			return nil, err
 		}
