@@ -271,6 +271,8 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/sweep", `{"kind":"periodic-vs-sporadic"}`, http.StatusUnprocessableEntity}, // needs cmaxs
 		{"/v1/solve", `{"model":"quantum"}`, http.StatusUnprocessableEntity},
 		{"/v1/solve", `{"strategy":"warp"}`, http.StatusUnprocessableEntity},
+		{"/v1/table1", `{"s":2,"n":2,"seeds":-1}`, http.StatusUnprocessableEntity},
+		{"/v1/sweep", `{"kind":"sporadic-delay","seeds":-1}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		status, data := post(t, ts, tc.path, tc.body)

@@ -55,7 +55,7 @@ func (SM) BuildSM(spec core.Spec, _ timing.Model) (*sm.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys := &sm.System{B: b, Recycle: nw.Pool.Recycle}
+	sys := &sm.System{B: b, NumVars: int(nw.NextVar), Recycle: nw.Pool.Recycle}
 	for i := 0; i < spec.N; i++ {
 		c := NewConfirmer(i, spec.N, spec.S, nw.PortVars[i])
 		c.SetPool(nw.Pool)
@@ -73,6 +73,7 @@ type Confirmer struct {
 	port, n, s int
 	v          model.VarID
 	know       tree.Knowledge
+	seen       tree.Seen // the snapshot in v when last stepped
 	progress   int
 	idle       bool
 	pool       *tree.Pool
@@ -94,12 +95,13 @@ func (c *Confirmer) Target() model.VarID { return c.v }
 // Step implements sm.Process: merge, maybe advance, announce. The
 // announcement is lazy: when the step neither learned nor advanced
 // anything, the variable's current cell (already merged) stays in place
-// and no snapshot is cloned.
+// and no snapshot is cloned. A cell still holding the snapshot the
+// confirmer last read or wrote is not merged again.
 func (c *Confirmer) Step(old sm.Value) sm.Value {
 	if c.idle {
 		return old
 	}
-	changed := tree.MergeCell(&c.know, old)
+	changed := c.seen.Merge(&c.know, old)
 	switch {
 	case c.progress == 0:
 		// First port access: contributes to session 1.
@@ -122,7 +124,7 @@ func (c *Confirmer) Step(old sm.Value) sm.Value {
 	if !changed {
 		return old
 	}
-	return tree.Cell{Know: c.know.ClonePooled(c.pool)}
+	return c.seen.Publish(c.know, c.pool)
 }
 
 // Idle implements sm.Process.

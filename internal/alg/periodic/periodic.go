@@ -51,7 +51,7 @@ func (SM) BuildSM(spec core.Spec, _ timing.Model) (*sm.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys := &sm.System{B: b, Recycle: nw.Pool.Recycle}
+	sys := &sm.System{B: b, NumVars: int(nw.NextVar), Recycle: nw.Pool.Recycle}
 	for i := 0; i < spec.N; i++ {
 		p := newSMPort(i, spec.N, spec.S, nw.PortVars[i])
 		p.pool = nw.Pool
@@ -64,13 +64,15 @@ func (SM) BuildSM(spec core.Spec, _ timing.Model) (*sm.System, error) {
 
 // smPort is a port process of A(p) in shared memory. Every one of its steps
 // accesses its own port variable: it merges the knowledge the leaf relay has
-// deposited there, announces its own step count, and idles at the first step
-// that both (a) follows hearing that everyone reached s-1 steps and (b) is
-// at least its s-th own step.
+// deposited there (unless the variable still holds the port's own last
+// snapshot), announces its own step count, and idles at the first step that
+// both (a) follows hearing that everyone reached s-1 steps and (b) is at
+// least its s-th own step.
 type smPort struct {
 	port, n, s int
 	v          model.VarID
 	know       tree.Knowledge
+	seen       tree.Seen // the snapshot in v when last stepped
 	steps      int
 	idle       bool
 	pool       *tree.Pool
@@ -88,7 +90,7 @@ func (p *smPort) Step(old sm.Value) sm.Value {
 	if p.idle {
 		return old
 	}
-	tree.MergeCell(&p.know, old)
+	p.seen.Merge(&p.know, old)
 	p.steps++
 	p.know.Raise(p.port, p.steps)
 	// The current step counts as the "one more port step" when the merged
@@ -97,7 +99,7 @@ func (p *smPort) Step(old sm.Value) sm.Value {
 	if p.steps >= p.s && p.know.AllAtLeast(p.n, p.s-1) {
 		p.idle = true
 	}
-	return tree.Cell{Know: p.know.ClonePooled(p.pool)}
+	return p.seen.Publish(p.know, p.pool)
 }
 
 func (p *smPort) Idle() bool { return p.idle }

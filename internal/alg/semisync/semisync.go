@@ -97,7 +97,7 @@ func (a SM) BuildSM(spec core.Spec, m timing.Model) (*sm.System, error) {
 		return async.NewSM().BuildSM(specB, m)
 	}
 	// Step counting: every process takes (s-1)*W + 1 port steps and idles.
-	sys := &sm.System{B: b}
+	sys := &sm.System{B: b, NumVars: spec.N}
 	for i := 0; i < spec.N; i++ {
 		v := model.VarID(i)
 		sys.Procs = append(sys.Procs, &stepCounter{v: v, left: (spec.S-1)*w + 1})

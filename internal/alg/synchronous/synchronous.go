@@ -39,7 +39,7 @@ func (SM) BuildSM(spec core.Spec, _ timing.Model) (*sm.System, error) {
 	if b == 0 {
 		b = 2
 	}
-	sys := &sm.System{B: b}
+	sys := &sm.System{B: b, NumVars: spec.N}
 	for i := 0; i < spec.N; i++ {
 		v := model.VarID(i)
 		sys.Procs = append(sys.Procs, &stepper{v: v, left: spec.S})

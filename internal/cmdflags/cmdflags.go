@@ -151,14 +151,14 @@ func (j *Journal) Preflight(w io.Writer) (done bool, err error) {
 }
 
 // wire opens the journal for appending (truncating any damaged tail),
-// replays its surviving frames into cache, and returns the journaling
-// cache decorator plus a closer for the writer.
+// replays its surviving frames into cache's memory tier, and returns the
+// journaling cache decorator plus a closer for the writer.
 func (j *Journal) wire(cache engine.RunCacher) (engine.RunCacher, func(), error) {
 	w, _, err := journal.Open(j.Path)
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := journal.Load(j.Path, cache); err != nil {
+	if _, err := journal.Load(j.Path, diskcache.MemoryTier(cache)); err != nil {
 		w.Close()
 		return nil, nil, err
 	}

@@ -145,4 +145,14 @@ func (t *Tiered) Stats() Stats {
 // Disk exposes the underlying store (tests and stats).
 func (t *Tiered) Disk() *Store { return t.disk }
 
+// MemoryTier returns the cache to load already-persisted summaries into,
+// such as a journal replay: a two-tier cache's memory tier, so loading
+// writes no disk object, or c itself for any other cache.
+func MemoryTier(c engine.RunCacher) engine.RunCacher {
+	if t, ok := c.(*Tiered); ok && t.mem != nil {
+		return t.mem
+	}
+	return c
+}
+
 var errNotSummary = errors.New("diskcache: value is not a *core.RunSummary")

@@ -40,6 +40,9 @@ const diameterTopoSeed = 1
 // topo.Families entries to sweep (generated families included); empty
 // means the paper's four fixed extremes.
 func SweepDiameter(ctx context.Context, s, n int, c2, hopDelay sim.Duration, seeds int, families ...string) ([]DiameterPoint, error) {
+	if err := checkSeeds(seeds); err != nil {
+		return nil, err
+	}
 	if len(families) == 0 {
 		families = []string{"complete", "star", "ring", "line"}
 	}

@@ -239,16 +239,29 @@ func (g groupOutcome) Account() engine.Counts {
 	return c
 }
 
+// checkSeeds rejects a negative seed count; zero is valid and, in a
+// configuration, selects the default.
+func checkSeeds(k int) error {
+	if k < 0 {
+		return fmt.Errorf("harness: seed count must be non-negative, got %d", k)
+	}
+	return nil
+}
+
 // runGroups is the harness's one task layout: n groups, each run over seeds
 // 1..k. Every group is one engine task, or with noBatch every seed is its
 // own task, a group of one, so no seed is served from another seed's run.
 // Tasks are labelled "<prefix(g)> seeds 1-k" and "<prefix(g)> seed i"
 // (sessiond streams these labels), and run executes a group's seeds. The
 // outcomes come back flat and group-major — group g's seed i at g*k+i-1 —
-// whatever the layout and parallelism.
+// whatever the layout and parallelism. A negative k is an error, so every
+// run matrix rejects a negative seed count before it runs anything.
 func runGroups(ctx context.Context, eng *engine.Engine, n, k int, noBatch bool,
 	prefix func(g int) string,
 	run func(ctx context.Context, g int, seeds []uint64) (groupOutcome, error)) ([]runOutcome, error) {
+	if err := checkSeeds(k); err != nil {
+		return nil, err
+	}
 	seeds := make([]uint64, k)
 	for i := range seeds {
 		seeds[i] = uint64(i) + 1

@@ -404,3 +404,36 @@ func TestDefaultConfigValid(t *testing.T) {
 		t.Error("default config should satisfy the retiming exactness condition")
 	}
 }
+
+// TestNegativeSeedsRejected: every run-matrix entry point returns an error
+// for a negative seed count instead of panicking (or, for F5, looping over
+// 2^64 seeds), and runs nothing.
+func TestNegativeSeedsRejected(t *testing.T) {
+	ctx := context.Background()
+	cfg := smallConfig()
+	cfg.Seeds = -1
+	calls := map[string]func() error{
+		"Table1": func() error { _, err := Table1Ctx(ctx, cfg); return err },
+		"Grid": func() error {
+			_, err := GridCtx(ctx, cfg, []struct{ S, N int }{{2, 2}})
+			return err
+		},
+		"Hierarchy": func() error { _, err := HierarchyCtx(ctx, cfg); return err },
+		"Sweep": func() error {
+			_, err := Sweep(ctx, SweepSpec{Kind: SweepKindSporadicDelay, S: 3, N: 3, C1: 2, D2: 40, Steps: 3, Seeds: -1})
+			return err
+		},
+		"FaultSweep": func() error {
+			_, err := FaultSweep(ctx, FaultSweepConfig{S: 2, N: 2, Seeds: -1, MaxSteps: 20000})
+			return err
+		},
+		"SweepDiameter":           func() error { _, err := SweepDiameter(ctx, 3, 6, 3, 10, -1); return err },
+		"SweepSporadicVsSemiSync": func() error { _, err := SweepSporadicVsSemiSync(4, 3, 2, 10, 28, 4, -1); return err },
+	}
+	for name, call := range calls {
+		err := call()
+		if err == nil || !strings.Contains(err.Error(), "seed count must be non-negative, got -1") {
+			t.Errorf("%s with seeds -1: error %v", name, err)
+		}
+	}
+}

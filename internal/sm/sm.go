@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sessionproblem/internal/arena"
@@ -53,10 +54,11 @@ type System struct {
 	B       int
 	Ports   []PortBinding
 	// NumVars, when positive, declares that every variable ID lies in
-	// [0, NumVars); the executor then backs variable storage and b-bound
-	// tracking with dense slices instead of maps. Large systems (million-port
-	// topologies) are infeasible without it; small systems are free to leave
-	// it zero.
+	// [0, NumVars); the executor then finds variable v's slot (its value
+	// and b-bound accessors, 32 bytes) at index v of a dense slice instead
+	// of through a map, and rejects a step or initial value outside the
+	// range. Large systems (million-port topologies) are infeasible without
+	// it; small systems are free to leave it zero.
 	NumVars int
 	// Recycle, when non-nil, is invoked by the executor as a variable's value
 	// is overwritten — but only on runs that discard recorded steps, carry no
@@ -67,9 +69,15 @@ type System struct {
 }
 
 // Scratch holds every buffer the executor grows during a run: the event
-// queue, the recorded steps and their access-record arena, and the
-// per-process bookkeeping. Reusing a Scratch across runs recycles all of
-// that capacity, making steady-state execution allocation-free.
+// queue, the recorded steps and their access-record arena, the per-process
+// bookkeeping and the variable slots. Reusing a Scratch across runs
+// recycles all of that capacity, making steady-state execution
+// allocation-free.
+//
+// Variable state lives in one []varSlot, 32 bytes per variable, so a step
+// reads and writes its variable's value and accessor list on one cache
+// line. With System.NumVars set, variable v is slot v; otherwise a map
+// assigns slots in first-access order.
 //
 // Ownership contract: a Result produced with a given Scratch — including
 // Trace, IdleAt and Crashed — aliases the scratch's memory and is valid
@@ -84,15 +92,15 @@ type Scratch struct {
 	idleAt   []sim.Time
 	crashed  []bool
 	probes   []int
-	portIdx  []int         // proc -> port index, -1 = none
-	portVar  []model.VarID // proc -> port variable (valid when portIdx >= 0)
-	portDup  []PortBinding // rare: extra bindings for procs with several ports
-	portDupI []int         // port indices parallel to portDup
-	vars     map[model.VarID]Value
-	prevVals map[model.VarID]Value
-	access   map[model.VarID][]int32 // var -> distinct accessing procs (b-bound)
-	varsD    []Value                 // dense variable storage (System.NumVars > 0)
-	accessD  [][]int32               // dense b-bound tracking, parallel to varsD
+	portIdx  []int                   // proc -> port index, -1 = none
+	portVar  []model.VarID           // proc -> port variable (valid when portIdx >= 0)
+	portDup  []PortBinding           // rare: extra bindings for procs with several ports
+	portDupI []int                   // port indices parallel to portDup
+	slots    []varSlot               // variable state; see the type comment
+	dense    bool                    // System.NumVars > 0: variable v is slot v
+	slotOf   map[model.VarID]int     // variable -> slot index when System.NumVars == 0
+	spill    map[model.VarID][]int32 // accessors past a slot's inline three (b >= 4 only)
+	prevVals map[model.VarID]Value   // injected runs: each variable's pre-update value
 	batch    []sim.Event             // tick-batch scratch for the dispatch loop
 	// lastSteps is the step count of the previous run. Pooled scratches
 	// detach the step and access buffers on release (a Result aliases them),
@@ -194,7 +202,7 @@ const ctxCheckInterval = 1024
 
 // prepare resets the scratch for a run over np processes, pre-sizing fresh
 // buffers from the hint when no warm capacity exists yet.
-func (sc *Scratch) prepare(sys *System, opts *Options) {
+func (sc *Scratch) prepare(sys *System, opts *Options) error {
 	np := len(sys.Procs)
 	expectedSteps := opts.ExpectedSteps
 	injected := opts.Injector != nil
@@ -254,30 +262,34 @@ func (sc *Scratch) prepare(sys *System, opts *Options) {
 		}
 	}
 
-	if sys.NumVars > 0 {
-		sc.varsD = arena.Resize(sc.varsD, sys.NumVars)
-		sc.accessD = arena.Resize(sc.accessD, sys.NumVars)
-		for i := range sc.varsD {
-			sc.varsD[i] = nil
-			sc.accessD[i] = sc.accessD[i][:0]
-		}
-		for k, v := range sys.Initial {
-			sc.varsD[k] = v
-		}
+	// Zero the slots the previous run used. No slot past them holds
+	// anything either (every run starts with this clear, and a run writes
+	// only slots below its length), so a dense resize needs no second one.
+	clear(sc.slots)
+	sc.dense = sys.NumVars > 0
+	if sc.dense {
+		sc.slots = arena.Resize(sc.slots, sys.NumVars)
 	} else {
-		if sc.vars == nil {
-			sc.vars = make(map[model.VarID]Value, len(sys.Initial))
+		sc.slots = sc.slots[:0]
+		if sc.slotOf == nil {
+			sc.slotOf = make(map[model.VarID]int, len(sys.Initial))
 		} else {
-			clear(sc.vars)
+			clear(sc.slotOf)
 		}
-		for k, v := range sys.Initial {
-			sc.vars[k] = v
-		}
-		if sc.access == nil {
-			sc.access = make(map[model.VarID][]int32)
+	}
+	clear(sc.spill)
+	// An initial value outside the declared range is an error; the lowest
+	// such variable is named, whatever the map's iteration order.
+	var bad []model.VarID
+	for k, v := range sys.Initial {
+		if s := sc.slot(k); s != nil {
+			s.val = v
 		} else {
-			clear(sc.access)
+			bad = append(bad, k)
 		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("sm: initial variable %d outside declared range [0, %d)", slices.Min(bad), sys.NumVars)
 	}
 	if injected {
 		if sc.prevVals == nil {
@@ -286,6 +298,66 @@ func (sc *Scratch) prepare(sys *System, opts *Options) {
 			clear(sc.prevVals)
 		}
 	}
+	return nil
+}
+
+// varSlot is one shared variable's executor state: its value and the
+// distinct processes that have accessed it, for the b-bound. The first
+// three accessors sit inline, which covers every variable when b <= 3; a
+// fourth and later accessor, possible only when b >= 4, spills to
+// Scratch.spill.
+type varSlot struct {
+	val Value    // current value
+	acc [3]int32 // the first min(n, 3) accessors
+	n   int32    // distinct accessors so far
+}
+
+// slot returns variable v's slot, or nil when v lies outside the declared
+// range [0, System.NumVars). Without NumVars every variable is in range
+// and gets a fresh slot at its first use; the pointer is valid until the
+// next call.
+func (sc *Scratch) slot(v model.VarID) *varSlot {
+	if sc.dense {
+		if uint(v) >= uint(len(sc.slots)) {
+			return nil
+		}
+		return &sc.slots[v]
+	}
+	i, ok := sc.slotOf[v]
+	if !ok {
+		i = len(sc.slots)
+		sc.slots = append(sc.slots, varSlot{})
+		sc.slotOf[v] = i
+	}
+	return &sc.slots[i]
+}
+
+// admit records process p as an accessor of variable v, whose slot is s,
+// and returns the number of distinct processes that have accessed v.
+func (sc *Scratch) admit(s *varSlot, v model.VarID, p int32) int {
+	n := int(s.n)
+	for _, a := range s.acc[:min(n, len(s.acc))] {
+		if a == p {
+			return n
+		}
+	}
+	if n > len(s.acc) {
+		for _, a := range sc.spill[v] {
+			if a == p {
+				return n
+			}
+		}
+	}
+	if n < len(s.acc) {
+		s.acc[n] = p
+	} else {
+		if sc.spill == nil {
+			sc.spill = make(map[model.VarID][]int32)
+		}
+		sc.spill[v] = append(sc.spill[v], p)
+	}
+	s.n++
+	return n + 1
 }
 
 // scratchPool recycles scratches for scratch-free runs, so the event queue,
@@ -347,7 +419,9 @@ func RunContext(ctx context.Context, sys *System, sched Scheduler, opts Options)
 		// the scratch must be fully quiescent before re-entering the pool.
 		defer sc.release()
 	}
-	sc.prepare(sys, &opts)
+	if err := sc.prepare(sys, &opts); err != nil {
+		return nil, err
+	}
 
 	res := &Result{
 		Trace:   &model.Trace{NumProcs: len(sys.Procs), NumPorts: len(sys.Ports)},
@@ -367,7 +441,6 @@ func RunContext(ctx context.Context, sys *System, sched Scheduler, opts Options)
 	crashedLive := 0 // processes crashed permanently before going idle
 	steps := 0
 	recorded := 0 // steps recorded/observed (excludes injector-suppressed pops)
-	dense := sys.NumVars > 0
 	// Recycling overwritten values is sound only when nothing can retain
 	// them: no materialized trace, no injector stale-read snapshots, no idle
 	// probes comparing pre/post values.
@@ -451,16 +524,12 @@ dispatch:
 
 			wasIdle := proc.Idle()
 			target := proc.Target()
-			var old Value
-			if dense {
-				if target < 0 || int(target) >= sys.NumVars {
-					return nil, fmt.Errorf("sm: variable %d outside declared range [0, %d)",
-						target, sys.NumVars)
-				}
-				old = sc.varsD[target]
-			} else {
-				old = sc.vars[target]
+			slot := sc.slot(target)
+			if slot == nil {
+				return nil, fmt.Errorf("sm: variable %d outside declared range [0, %d)",
+					target, sys.NumVars)
 			}
+			old := slot.val
 			observed := old
 			if stale {
 				if pv, ok := sc.prevVals[target]; ok {
@@ -474,11 +543,7 @@ dispatch:
 				// not recorded.
 			}
 			newVal := proc.Step(observed)
-			if dense {
-				sc.varsD[target] = newVal
-			} else {
-				sc.vars[target] = newVal
-			}
+			slot.val = newVal
 			if inj != nil {
 				sc.prevVals[target] = old
 			}
@@ -489,34 +554,12 @@ dispatch:
 				sys.Recycle(old, newVal)
 			}
 
-			// b-bound: track the distinct processes touching each variable in a
-			// small dense slice (len <= b+1, linear scan) instead of a nested
-			// map, so enforcement costs at most one tiny alloc per variable per
-			// run and none per step.
-			var acc []int32
-			if dense {
-				acc = sc.accessD[target]
-			} else {
-				acc = sc.access[target]
-			}
-			known := false
-			for _, ap := range acc {
-				if ap == int32(p) {
-					known = true
-					break
-				}
-			}
-			if !known {
-				acc = append(acc, int32(p))
-				if dense {
-					sc.accessD[target] = acc
-				} else {
-					sc.access[target] = acc
-				}
-				if len(acc) > sys.B {
-					return nil, fmt.Errorf("sm: variable %d accessed by %d > b=%d processes",
-						target, len(acc), sys.B)
-				}
+			// b-bound: the slot lists the distinct processes touching the
+			// variable; a run stops at the first access that pushes the
+			// count past b, so a known accessor never finds it above b.
+			if n := sc.admit(slot, target, int32(p)); n > sys.B {
+				return nil, fmt.Errorf("sm: variable %d accessed by %d > b=%d processes",
+					target, n, sys.B)
 			}
 
 			port := model.NoPort

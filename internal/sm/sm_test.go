@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"sessionproblem/internal/model"
 	"sessionproblem/internal/timing"
@@ -61,6 +62,28 @@ func twoCounterSystem(k int) *System {
 	}
 }
 
+// inBothLayouts runs f once per variable-storage layout: slots found
+// through a map (NumVars 0) and a dense slice (NumVars covering every
+// variable the tests use). It returns each run's error text, "" for none,
+// so callers can check that the layouts fail alike.
+func inBothLayouts(t *testing.T, f func(t *testing.T, numVars int) error) []string {
+	t.Helper()
+	var msgs []string
+	for _, l := range []struct {
+		name    string
+		numVars int
+	}{{"map", 0}, {"dense", 16}} {
+		t.Run(l.name, func(t *testing.T) {
+			msg := ""
+			if err := f(t, l.numVars); err != nil {
+				msg = err.Error()
+			}
+			msgs = append(msgs, msg)
+		})
+	}
+	return msgs
+}
+
 func TestRunBasic(t *testing.T) {
 	m := timing.NewSynchronous(3, 0)
 	res, err := Run(twoCounterSystem(4), m.NewScheduler(timing.Slow, 1), Options{})
@@ -91,20 +114,25 @@ func TestRunBasic(t *testing.T) {
 }
 
 func TestRunRecordsValues(t *testing.T) {
-	m := timing.NewSynchronous(1, 0)
-	res, err := Run(twoCounterSystem(2), m.NewScheduler(timing.Slow, 1), Options{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	fv := res.Trace.FinalValues()
-	if fv[1] != 2 || fv[2] != 2 {
-		t.Errorf("final values: got %v, want both 2", fv)
-	}
-	// First step of proc 0 reads nil-ish zero and writes 1.
-	s0 := res.Trace.Steps[0]
-	if len(s0.Accesses) != 1 || s0.Accesses[0].New != 1 {
-		t.Errorf("first access wrong: %+v", s0.Accesses)
-	}
+	inBothLayouts(t, func(t *testing.T, numVars int) error {
+		sys := twoCounterSystem(2)
+		sys.NumVars = numVars
+		m := timing.NewSynchronous(1, 0)
+		res, err := Run(sys, m.NewScheduler(timing.Slow, 1), Options{})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		fv := res.Trace.FinalValues()
+		if fv[1] != 2 || fv[2] != 2 {
+			t.Errorf("final values: got %v, want both 2", fv)
+		}
+		// First step of proc 0 reads nil-ish zero and writes 1.
+		s0 := res.Trace.Steps[0]
+		if len(s0.Accesses) != 1 || s0.Accesses[0].Old != nil || s0.Accesses[0].New != 1 {
+			t.Errorf("first access wrong: %+v", s0.Accesses)
+		}
+		return nil
+	})
 }
 
 func TestRunPortAnnotation(t *testing.T) {
@@ -137,19 +165,94 @@ func TestRunNoTermination(t *testing.T) {
 }
 
 func TestRunBBoundViolation(t *testing.T) {
-	// Three processes all write variable 9 with b=2.
-	sys := &System{
-		Procs: []Process{
-			&counter{v: 9, left: 1},
-			&counter{v: 9, left: 1},
-			&counter{v: 9, left: 1},
-		},
-		B: 2,
+	msgs := inBothLayouts(t, func(t *testing.T, numVars int) error {
+		// Three processes all write variable 9 with b=2.
+		sys := &System{
+			Procs: []Process{
+				&counter{v: 9, left: 1},
+				&counter{v: 9, left: 1},
+				&counter{v: 9, left: 1},
+			},
+			B:       2,
+			NumVars: numVars,
+		}
+		m := timing.NewSynchronous(1, 0)
+		_, err := Run(sys, m.NewScheduler(timing.Slow, 1), Options{})
+		if err == nil || !strings.Contains(err.Error(), "b=2") {
+			t.Errorf("b-bound violation not caught: %v", err)
+		}
+		return err
+	})
+	if msgs[0] != msgs[1] {
+		t.Errorf("layouts disagree: %q vs %q", msgs[0], msgs[1])
 	}
+}
+
+// TestRunBBoundSpill drives one variable past the three accessors a slot
+// holds inline: six processes, each stepping twice, fit b = 6 (so the
+// spilled accessors are recognised on their second step) and break b = 5
+// at the sixth.
+func TestRunBBoundSpill(t *testing.T) {
+	for _, tt := range []struct {
+		b       int
+		wantErr string
+	}{{6, ""}, {5, "sm: variable 3 accessed by 6 > b=5 processes"}} {
+		msgs := inBothLayouts(t, func(t *testing.T, numVars int) error {
+			sys := &System{B: tt.b, NumVars: numVars}
+			for i := 0; i < 6; i++ {
+				sys.Procs = append(sys.Procs, &counter{v: 3, left: 2})
+			}
+			m := timing.NewSynchronous(1, 0)
+			res, err := Run(sys, m.NewScheduler(timing.Slow, 1), Options{})
+			if err == nil {
+				if fv := res.Trace.FinalValues(); fv[3] != 12 {
+					t.Errorf("b=%d: final value %v, want 12", tt.b, fv[3])
+				}
+			}
+			return err
+		})
+		for _, msg := range msgs {
+			if msg != tt.wantErr {
+				t.Errorf("b=%d: error %q, want %q", tt.b, msg, tt.wantErr)
+			}
+		}
+	}
+}
+
+// TestRunDenseRange: with NumVars declared, a step or an initial value
+// outside [0, NumVars) is an error, not a panic; the map layout has no
+// range and runs the same system.
+func TestRunDenseRange(t *testing.T) {
 	m := timing.NewSynchronous(1, 0)
-	_, err := Run(sys, m.NewScheduler(timing.Slow, 1), Options{})
-	if err == nil || !strings.Contains(err.Error(), "b=2") {
-		t.Errorf("b-bound violation not caught: %v", err)
+	for _, tt := range []struct {
+		name    string
+		sys     *System
+		wantErr string
+	}{
+		{"target", &System{Procs: []Process{&counter{v: 4, left: 1}}, B: 2},
+			"sm: variable 4 outside declared range [0, 4)"},
+		{"negative target", &System{Procs: []Process{&counter{v: -1, left: 1}}, B: 2},
+			"sm: variable -1 outside declared range [0, 4)"},
+		{"initial", &System{Procs: []Process{&counter{v: 0, left: 1}}, B: 2,
+			Initial: map[model.VarID]Value{9: 1, 7: 1, 1: 1, 12: 1}},
+			"sm: initial variable 7 outside declared range [0, 4)"},
+	} {
+		if _, err := Run(tt.sys, m.NewScheduler(timing.Slow, 1), Options{}); err != nil {
+			t.Errorf("%s, map layout: %v", tt.name, err)
+		}
+		tt.sys.NumVars = 4
+		tt.sys.Procs[0].(*counter).left = 1
+		_, err := Run(tt.sys, m.NewScheduler(timing.Slow, 1), Options{})
+		if err == nil || err.Error() != tt.wantErr {
+			t.Errorf("%s, dense layout: error %v, want %q", tt.name, err, tt.wantErr)
+		}
+	}
+}
+
+// TestVarSlotSize pins the slot at 32 bytes, two to a cache line.
+func TestVarSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(varSlot{}); got != 32 {
+		t.Errorf("varSlot is %d bytes, want 32", got)
 	}
 }
 
@@ -193,16 +296,20 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestRunInitialValues(t *testing.T) {
-	sys := twoCounterSystem(1)
-	sys.Initial = map[model.VarID]Value{1: 100}
-	m := timing.NewSynchronous(1, 0)
-	res, err := Run(sys, m.NewScheduler(timing.Slow, 1), Options{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if fv := res.Trace.FinalValues(); fv[1] != 101 {
-		t.Errorf("initial value ignored: got %v, want 101", fv[1])
-	}
+	inBothLayouts(t, func(t *testing.T, numVars int) error {
+		sys := twoCounterSystem(1)
+		sys.Initial = map[model.VarID]Value{1: 100}
+		sys.NumVars = numVars
+		m := timing.NewSynchronous(1, 0)
+		res, err := Run(sys, m.NewScheduler(timing.Slow, 1), Options{})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if fv := res.Trace.FinalValues(); fv[1] != 101 || fv[2] != 1 {
+			t.Errorf("final values %v, want 101 and 1", fv)
+		}
+		return nil
+	})
 }
 
 func TestRunDeterminism(t *testing.T) {
@@ -254,5 +361,34 @@ func TestRunPeriodicAdmissible(t *testing.T) {
 	}
 	if res.IdleAt[1] != 6*2 {
 		t.Errorf("fast proc idle at %v, want 12", res.IdleAt[1])
+	}
+}
+
+// TestScratchReuseAcrossLayouts: a scratch carries no variable value or
+// accessor from one run into the next, whichever layouts the two use.
+func TestScratchReuseAcrossLayouts(t *testing.T) {
+	m := timing.NewSynchronous(1, 0)
+	var sc Scratch
+	for i, numVars := range []int{8, 0, 4, 8, 0} {
+		sys := &System{B: 2, NumVars: numVars}
+		for p := 0; p < 4; p++ {
+			// Each run rotates which process steps on which variable, so
+			// accessor lists carried over would break b = 2 by the third run.
+			sys.Procs = append(sys.Procs, &counter{v: model.VarID((p + i) % 4), left: 1 + i})
+		}
+		res, err := Run(sys, m.NewScheduler(timing.Slow, 1), Options{Scratch: &sc})
+		if err != nil {
+			t.Fatalf("run %d (NumVars %d): %v", i, numVars, err)
+		}
+		for _, st := range res.Trace.Steps[:4] {
+			if st.Accesses[0].Old != nil {
+				t.Errorf("run %d (NumVars %d): step %d read a stale %v", i, numVars, st.Index, st.Accesses[0].Old)
+			}
+		}
+		for v, val := range res.Trace.FinalValues() {
+			if val != 1+i {
+				t.Errorf("run %d (NumVars %d): variable %d ends at %v, want %d", i, numVars, v, val, 1+i)
+			}
+		}
 	}
 }

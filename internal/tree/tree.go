@@ -27,8 +27,20 @@
 // is known to be >= floor) short-circuits the AllAtLeast checks that
 // dominate the confirmers' steady state. Snapshots published into cells are
 // cloned through a per-network freelist (Pool) and, when the executor runs
-// with discarded steps, recycled on overwrite — making the relay hot path
-// allocation-free in steady state and keeping memory O(ports) at any n.
+// with discarded steps, recycled on overwrite, which keeps memory O(ports)
+// at any n. The word buffers are then reused, but each publish still boxes
+// one Cell into the variable's interface value: one small allocation per
+// publish, and publishes are a minority of steps.
+//
+// Skipped merges. Every snapshot cloned through a network's Pool carries a
+// stamp unique within that network; a recycled buffer gets a fresh stamp
+// when it is cloned again. Each process remembers, per variable it
+// accesses (Seen), the stamp of the snapshot it last read or wrote there.
+// Knowledge only grows, so while the variable still holds that snapshot a
+// merge would change nothing, and the process skips it. Relays revisit
+// their variables in a cycle and most visits find the cell as they left
+// it, so a step pays the O(n/lanes) merge only when another process has
+// written its variable since.
 package tree
 
 import (
@@ -36,7 +48,6 @@ import (
 	"strconv"
 	"sync/atomic"
 
-	"sessionproblem/internal/arena"
 	"sessionproblem/internal/model"
 	"sessionproblem/internal/sm"
 )
@@ -60,9 +71,10 @@ func KnowledgeWords() int64 { return wordsInFlight.Load() }
 // The zero value is an empty vector. Copying a Knowledge copies the word
 // slice header, so two copies share storage: use Clone for a snapshot.
 type Knowledge struct {
-	n     int  // tracked entries
-	width uint // bits per lane: 8, 16, 32 or 64
-	floor int  // cached summary: every entry in [0, n) is >= floor
+	n     int    // tracked entries
+	width uint   // bits per lane: 8, 16, 32 or 64
+	floor int    // cached summary: every entry in [0, n) is >= floor
+	stamp uint64 // snapshot identity from Pool.stamp; 0 = not a pooled snapshot
 	words []uint64
 }
 
@@ -222,25 +234,49 @@ func (k *Knowledge) MergeFrom(other Knowledge) bool {
 			}
 		}
 	} else {
-		lpw := int(64 / k.width)
-		nw := (n + lpw - 1) / lpw
-		for wi := 0; wi < nw; wi++ {
-			ow := other.words[wi]
-			if rem := n - wi*lpw; rem < lpw && k.width != 64 {
-				// Partial final word: ignore other's lanes beyond n.
-				ow &= uint64(1)<<(uint(rem)*k.width) - 1
-			}
-			m := maxLanes(k.words[wi], ow, k.width)
-			if m != k.words[wi] {
-				k.words[wi] = m
-				changed = true
-			}
-		}
+		changed = mergeWords(k.words, other.words, n, k.width)
 	}
 	if other.n >= k.n && other.floor > k.floor {
 		k.floor = other.floor
 	}
 	return changed
+}
+
+// mergeWords raises the first n lanes (width w) of dst to the lane-wise
+// maximum with src and reports whether any lane rose. The whole words go
+// through maxWords; a partial final word, with src's lanes beyond n masked
+// off, is merged once after it.
+func mergeWords(dst, src []uint64, n int, w uint) bool {
+	lpw := int(64 / w)
+	full := n / lpw
+	diff := maxWords(dst[:full], src[:full], hiMask(w), w-1)
+	if rem := n - full*lpw; rem > 0 {
+		a := dst[full]
+		m := maxLanes(a, src[full]&(uint64(1)<<(uint(rem)*w)-1), w)
+		diff |= m ^ a
+		dst[full] = m
+	}
+	return diff != 0
+}
+
+// maxWords is maxLanes over whole words, d[i] = max(d[i], s[i]) lane-wise,
+// with the lane masks hoisted out of the loop: h is hiMask(w) and sh is
+// w-1. It returns the OR of every changed bit, zero when d is unchanged. A
+// word is stored only when it rises, so a merge that learns nothing writes
+// nothing; the loop sits apart from mergeWords so that its few live values
+// stay in registers.
+func maxWords(d, s []uint64, h uint64, sh uint) (diff uint64) {
+	s = s[:len(d)]
+	for i, a := range d {
+		b := s[i]
+		ge := ((a | h) - b) & h >> (sh & 63) // 1 at each lane's low bit where a >= b
+		sel := (h - ge) ^ h                  // all-ones lanes where a >= b
+		if m := a&sel | b&^sel; m != a {
+			diff |= m ^ a
+			d[i] = m
+		}
+	}
+	return diff
 }
 
 // AllAtLeast reports whether every port in [0, n) has progress >= v. The
@@ -322,9 +358,11 @@ func (k *Knowledge) Min(n int) int {
 	return best
 }
 
-// Clone returns a freshly allocated copy of k.
+// Clone returns a freshly allocated copy of k. The copy is a vector of its
+// own, not a pooled snapshot, so it carries no stamp.
 func (k Knowledge) Clone() Knowledge {
 	out := k
+	out.stamp = 0
 	if k.words != nil {
 		out.words = newWords(len(k.words))
 		copy(out.words, k.words)
@@ -333,7 +371,9 @@ func (k Knowledge) Clone() Knowledge {
 }
 
 // ClonePooled is Clone with the word buffer drawn from pool when one of
-// the right capacity is available (nil pool falls back to Clone).
+// the right capacity is available (nil pool falls back to Clone). The
+// snapshot gets the pool's next stamp, so no two snapshots cloned through
+// one pool share a stamp, even when one reuses the other's recycled buffer.
 func (k Knowledge) ClonePooled(pool *Pool) Knowledge {
 	if pool == nil || k.words == nil {
 		return k.Clone()
@@ -341,6 +381,8 @@ func (k Knowledge) ClonePooled(pool *Pool) Knowledge {
 	out := k
 	out.words = pool.get(len(k.words))
 	copy(out.words, k.words)
+	pool.stamp++
+	out.stamp = pool.stamp
 	return out
 }
 
@@ -360,23 +402,31 @@ func sharesWords(a, b Knowledge) bool {
 	return len(a.words) > 0 && len(b.words) > 0 && &a.words[0] == &b.words[0]
 }
 
-// Pool recycles the word buffers behind published knowledge snapshots.
-// One executor goroutine owns a network (and therefore its pool), so no
-// locking is needed; the freelist clears returned buffers, which the
-// clone's copy immediately overwrites.
+// Pool recycles the word buffers behind published knowledge snapshots and
+// stamps every snapshot it clones. One executor goroutine owns a network
+// (and therefore its pool), so no locking is needed. Returned buffers keep
+// their stale words: the words hold no pointers, and the clone that reuses
+// a buffer overwrites all of it.
 type Pool struct {
-	free arena.Freelist[uint64]
+	free  [][]uint64 // returned buffers, reused last in first out
+	stamp uint64     // last stamp handed out
 }
 
 // NewPool returns an empty snapshot pool.
 func NewPool() *Pool { return &Pool{} }
 
-// get returns a zeroed buffer of exactly n words, reusing a pooled buffer
-// of sufficient capacity when one exists.
+// get returns a buffer of exactly n words, reusing a pooled buffer of
+// sufficient capacity when one exists. A reused buffer's contents are
+// unspecified; the caller overwrites every word.
 func (p *Pool) get(n int) []uint64 {
-	if buf := p.free.Get(); cap(buf) >= n {
-		wordsInFlight.Add(int64(n))
-		return buf[:n]
+	if k := len(p.free); k > 0 {
+		buf := p.free[k-1]
+		p.free[k-1] = nil
+		p.free = p.free[:k-1]
+		if cap(buf) >= n {
+			wordsInFlight.Add(int64(n))
+			return buf[:n]
+		}
 	}
 	// Undersized pooled buffers (a width widening grew the clone size) are
 	// dropped for the collector; the pool refills at the new size.
@@ -389,7 +439,7 @@ func (p *Pool) put(buf []uint64) {
 		return
 	}
 	wordsInFlight.Add(-int64(len(buf)))
-	p.free.Put(buf)
+	p.free = append(p.free, buf)
 }
 
 // Recycle is the executor overwrite hook (sm.System.Recycle): when a
@@ -429,9 +479,38 @@ func cellKnow(v sm.Value) Knowledge {
 }
 
 // MergeCell merges the knowledge in variable value v into know, reporting
-// whether know changed.
+// whether know changed. It suits a one-off merge; a process that revisits
+// a variable merges through its Seen for that variable instead.
 func MergeCell(know *Knowledge, v sm.Value) bool {
 	return know.MergeFrom(cellKnow(v))
+}
+
+// Seen is one process's memory of one variable: the stamp of the last
+// pooled snapshot it read from or wrote to that variable. The process's
+// knowledge contains that snapshot, and knowledge only grows, so while the
+// variable still holds the snapshot a merge from it would change nothing.
+// The zero value remembers nothing.
+type Seen uint64
+
+// Merge merges the knowledge in variable value v into know, reporting
+// whether know changed, and remembers v's snapshot. It skips the merge
+// when v is the snapshot s already remembers. Unstamped values (nil, a
+// Clone, a foreign value) are always merged.
+func (s *Seen) Merge(know *Knowledge, v sm.Value) bool {
+	k := cellKnow(v)
+	if k.stamp != 0 && k.stamp == uint64(*s) {
+		return false
+	}
+	*s = Seen(k.stamp)
+	return know.MergeFrom(k)
+}
+
+// Publish snapshots know through pool into a cell for the variable and
+// remembers the snapshot.
+func (s *Seen) Publish(know Knowledge, pool *Pool) Cell {
+	snap := know.ClonePooled(pool)
+	*s = Seen(snap.stamp)
+	return Cell{Know: snap}
 }
 
 // Relay is one relay process. It cycles through its variable list (children
@@ -443,7 +522,9 @@ func MergeCell(know *Knowledge, v sm.Value) bool {
 // Publishing is lazy: a relay re-snapshots into a variable only when its
 // knowledge changed since it last wrote that slot. A step that has nothing
 // new to say returns the variable's current value unchanged — information
-// already merged flows on, and idle sweeps allocate nothing.
+// already merged flows on, and idle sweeps allocate nothing. Merging is
+// lazy too: a variable still holding the snapshot the relay last read or
+// wrote there is not merged again.
 type Relay struct {
 	vars    []model.VarID
 	i       int
@@ -453,9 +534,15 @@ type Relay struct {
 	sweepsL int // full sweeps left once knowledge is complete; -1 = not yet
 	idle    bool
 
-	pool   *Pool
-	seq    uint64   // bumped whenever know changes
-	pubSeq []uint64 // per variable slot: seq at the last snapshot written there
+	pool  *Pool
+	seq   uint64      // bumped whenever know changes
+	slots []relaySlot // per variable, parallel to vars
+}
+
+// relaySlot is a relay's memory of one of its variables.
+type relaySlot struct {
+	pubSeq uint64 // seq at the last snapshot written there
+	seen   Seen   // the snapshot the variable held when last stepped
 }
 
 var _ sm.Process = (*Relay)(nil)
@@ -472,7 +559,7 @@ func NewRelay(vars []model.VarID, nPorts, doneAt int) *Relay {
 		doneAt:  doneAt,
 		sweepsL: -1,
 		seq:     1,
-		pubSeq:  make([]uint64, len(vars)),
+		slots:   make([]relaySlot, len(vars)),
 	}
 }
 
@@ -487,10 +574,10 @@ func (r *Relay) Step(old sm.Value) sm.Value {
 	if r.idle {
 		return old
 	}
-	if r.know.MergeFrom(cellKnow(old)) {
+	slot := &r.slots[r.i]
+	if slot.seen.Merge(&r.know, old) {
 		r.seq++
 	}
-	slot := r.i
 	r.i++
 	if r.i == len(r.vars) {
 		r.i = 0
@@ -506,13 +593,13 @@ func (r *Relay) Step(old sm.Value) sm.Value {
 			r.sweepsL = 1
 		}
 	}
-	if r.pubSeq[slot] == r.seq {
+	if slot.pubSeq == r.seq {
 		// The snapshot last written here already carries everything the
 		// relay knows (whoever overwrote it merged that snapshot first).
 		return old
 	}
-	r.pubSeq[slot] = r.seq
-	return Cell{Know: r.know.ClonePooled(r.pool)}
+	slot.pubSeq = r.seq
+	return slot.seen.Publish(r.know, r.pool)
 }
 
 // Idle reports whether the relay has shut down.
@@ -587,7 +674,7 @@ func Build(n, b int, firstVar model.VarID, doneAt int) (*Network, error) {
 			for _, child := range level[lo:hi] {
 				edge := alloc()
 				child.vars = append(child.vars, edge)
-				child.pubSeq = append(child.pubSeq, 0)
+				child.slots = append(child.slots, relaySlot{})
 				edges = append(edges, edge)
 			}
 			next = append(next, NewRelay(edges, n, doneAt))

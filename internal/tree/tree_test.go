@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -352,5 +353,148 @@ func TestMergeProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// laneWidths are the four lane widths a vector can take.
+var laneWidths = [...]uint{8, 16, 32, 64}
+
+// fuzzVector builds a vector of n entries at lane width w (widened up
+// front, as a vector is after a large value passed through it) with
+// values drawn from data; each value fits the width.
+func fuzzVector(n int, w uint, data []byte, salt byte) (Knowledge, []int) {
+	k := NewKnowledge(n)
+	k.widenTo(w)
+	vals := make([]int, n)
+	for p := range vals {
+		var x uint64
+		for j := 0; j < 8 && len(data) > 0; j++ {
+			x = x<<8 | uint64(data[(p*3+j)%len(data)]^salt^byte(p))
+		}
+		// Small values most of the time, so the two sides often tie.
+		switch x % 4 {
+		case 0, 1:
+			x %= 4
+		case 2:
+			x %= 128
+		}
+		vals[p] = int(x % uint64(maxLaneValue(w)+1))
+		k.set(p, vals[p])
+	}
+	return k, vals
+}
+
+// FuzzMergeFromMatchesScalar checks the word-parallel merge against a
+// per-port scalar maximum: vector lengths that end mid-word, every lane
+// width, mixed widths on the two sides and unequal lengths. MergeFrom must
+// produce the scalar result, report a change exactly when some port rose,
+// and leave the floor summary consistent with the true minimum.
+func FuzzMergeFromMatchesScalar(f *testing.F) {
+	for _, seed := range []struct {
+		na, nb uint16
+		wa, wb uint8
+	}{{5, 5, 0, 0}, {9, 9, 0, 0}, {131, 131, 0, 1}, {70, 64, 1, 0}, {33, 40, 2, 3}, {3, 3, 3, 3}, {1, 1, 0, 2}} {
+		f.Add(seed.na, seed.nb, seed.wa, seed.wb, false, []byte("\x01\x07\x00\x7f\x80\xff\x10\x02\x03"))
+		f.Add(seed.na, seed.nb, seed.wa, seed.wb, true, []byte("\x05\x00\x00\x09"))
+	}
+	f.Fuzz(func(t *testing.T, na, nb uint16, wa, wb uint8, dominated bool, data []byte) {
+		n1, n2 := int(na%300)+1, int(nb%300)+1
+		w1, w2 := laneWidths[wa%4], laneWidths[wb%4]
+		k, a := fuzzVector(n1, w1, data, 0x5a)
+		other, b := fuzzVector(n2, w2, data, 0xc3)
+		if dominated {
+			// other adds nothing: every shared port is at most k's value.
+			for p := 0; p < min(n1, n2); p++ {
+				b[p] = min(b[p], a[p])
+				other.set(p, b[p])
+			}
+		}
+		want := append([]int(nil), a...)
+		wantChanged := false
+		for p := 0; p < min(n1, n2); p++ {
+			if b[p] > want[p] {
+				want[p] = b[p]
+				wantChanged = true
+			}
+		}
+		if got := k.MergeFrom(other); got != wantChanged {
+			t.Fatalf("n=%d/%d w=%d/%d: changed = %v, want %v", n1, n2, w1, w2, got, wantChanged)
+		}
+		for p, v := range want {
+			if got := k.At(p); got != v {
+				t.Fatalf("n=%d/%d w=%d/%d: port %d = %d, want %d", n1, n2, w1, w2, p, got, v)
+			}
+		}
+		lo := want[0]
+		for _, v := range want {
+			lo = min(lo, v)
+		}
+		if !k.AllAtLeast(n1, lo) || lo < math.MaxInt && k.AllAtLeast(n1, lo+1) {
+			t.Fatalf("n=%d/%d w=%d/%d: floor inconsistent with minimum %d", n1, n2, w1, w2, lo)
+		}
+		if got := k.Min(n1); got != lo {
+			t.Fatalf("n=%d/%d w=%d/%d: Min = %d, want %d", n1, n2, w1, w2, got, lo)
+		}
+		if k.MergeFrom(other) {
+			t.Fatalf("n=%d/%d w=%d/%d: repeated merge reported a change", n1, n2, w1, w2)
+		}
+	})
+}
+
+// TestRecycledSnapshotGetsFreshStamp: a snapshot buffer recycled and
+// cloned again is a new snapshot with a new stamp, so a process that
+// remembers the old snapshot still merges the cell that reuses its buffer.
+func TestRecycledSnapshotGetsFreshStamp(t *testing.T) {
+	pool := NewPool()
+	var seen Seen
+	mine := FromSlice([]int{1, 2, 3})
+	left := seen.Publish(mine, pool) // the process leaves this in its variable
+	pool.Recycle(left, nil)          // another process overwrites it
+	next := FromSlice([]int{5, 0, 9}).ClonePooled(pool)
+	if !sharesWords(left.Know, next) {
+		t.Fatal("the clone did not reuse the recycled buffer; the test needs it to")
+	}
+	if next.stamp == 0 || next.stamp == left.Know.stamp {
+		t.Fatalf("recycled buffer kept stamp %d (old %d)", next.stamp, left.Know.stamp)
+	}
+	if !seen.Merge(&mine, Cell{Know: next}) {
+		t.Fatal("cell reusing the remembered snapshot's buffer was not merged")
+	}
+	if got := []int{mine.At(0), mine.At(1), mine.At(2)}; got[0] != 5 || got[1] != 2 || got[2] != 9 {
+		t.Fatalf("merge result %v, want [5 2 9]", got)
+	}
+}
+
+// TestSeenSkipsOnlyTheRememberedSnapshot: Merge skips a cell holding the
+// snapshot it remembers (even were its content new, which the invariant
+// rules out) and merges any other cell, stamped or not.
+func TestSeenSkipsOnlyTheRememberedSnapshot(t *testing.T) {
+	pool := NewPool()
+	var seen Seen
+	know := FromSlice([]int{1, 1})
+	mine := seen.Publish(know, pool)
+	forged := mine
+	forged.Know.words = FromSlice([]int{7, 7}).words // same stamp, new content
+	if seen.Merge(&know, forged) || know.At(0) != 1 {
+		t.Fatal("the remembered snapshot was merged again")
+	}
+	if !seen.Merge(&know, Cell{Know: FromSlice([]int{2, 0})}) || know.At(0) != 2 {
+		t.Fatal("an unstamped cell was not merged")
+	}
+	var fresh Seen // remembers nothing, so a stamp of 0 must not match it
+	empty := NewKnowledge(2)
+	if !fresh.Merge(&empty, Cell{Know: FromSlice([]int{1, 0})}) ||
+		!fresh.Merge(&empty, Cell{Know: FromSlice([]int{1, 4})}) || empty.At(1) != 4 {
+		t.Fatal("unstamped cells were not all merged")
+	}
+	other := FromSlice([]int{2, 3}).ClonePooled(pool)
+	if !seen.Merge(&know, Cell{Know: other}) || know.At(1) != 3 {
+		t.Fatal("another process's snapshot was not merged")
+	}
+	if seen.Merge(&know, Cell{Know: other}) {
+		t.Fatal("a snapshot merged once was merged again")
+	}
+	if FromSlice([]int{1}).Clone().stamp != 0 || mine.Know.Clone().stamp != 0 {
+		t.Fatal("Clone kept a stamp")
 	}
 }

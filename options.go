@@ -121,8 +121,10 @@ type settings struct {
 // custom RunCacher takes precedence and the directory is ignored (the
 // caller opted into full control of caching). WithJournal then layers on
 // top of whatever cache resulted: surviving journal frames are replayed
-// into it (resuming a killed run), and the cache is wrapped so every newly
-// verified summary is appended. Called by each run-executing API entry
+// into its memory tier (resuming a killed run; a frame's summary went to
+// the disk tier, if any, when it was journaled, so replay writes no disk
+// object), and the cache is wrapped so every newly verified summary is
+// appended. Called by each run-executing API entry
 // point because options cannot fail — an unusable directory or journal
 // surfaces as the call's error. Callers must release the journal writer
 // with close() when the call completes.
@@ -147,7 +149,7 @@ func (s settings) initCache() (settings, error) {
 		}
 		// Replay into the undecorated cache first: loading through the
 		// decorator would re-append every surviving frame.
-		if _, err := journal.Load(s.journalPath, s.runCache); err != nil {
+		if _, err := journal.Load(s.journalPath, diskcache.MemoryTier(s.runCache)); err != nil {
 			w.Close()
 			return s, err
 		}

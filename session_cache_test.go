@@ -297,3 +297,60 @@ func TestWithCacheDirUnusablePathFails(t *testing.T) {
 		t.Error("Table1 with a file as cache dir succeeded, want error")
 	}
 }
+
+// TestJournalReplayWritesNoDiskObject: resuming a journaled call over a
+// cache directory replays the journal into the memory tier only. Every
+// frame's summary reached the disk tier when it was journaled, so the
+// replay rewrites no object and adds none, and the resumed call returns
+// the journaled results.
+func TestJournalReplayWritesNoDiskObject(t *testing.T) {
+	dir := t.TempDir()
+	opts := []sessionproblem.Option{
+		sessionproblem.WithSpec(2, 3),
+		sessionproblem.WithSeeds(1),
+		sessionproblem.WithParallelism(2),
+		sessionproblem.WithCacheDir(dir),
+		sessionproblem.WithJournal(filepath.Join(t.TempDir(), "t1.journal")),
+	}
+	objects := func() map[string]os.FileInfo {
+		out := make(map[string]os.FileInfo)
+		err := filepath.Walk(filepath.Join(dir, "objects"), func(path string, fi os.FileInfo, err error) error {
+			if err == nil && fi.Mode().IsRegular() {
+				out[path] = fi
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	first, err := sessionproblem.Table1(context.Background(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := objects()
+	if len(before) == 0 {
+		t.Fatal("the journaled call stored no disk object")
+	}
+	resumed, err := sessionproblem.Table1(context.Background(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first.Cells, resumed.Cells) {
+		t.Error("resumed cells differ from the journaled call's")
+	}
+	if resumed.Stats.CacheHits != int64(resumed.Stats.Runs) {
+		t.Errorf("resumed call: %d hits over %d runs, want every run replayed",
+			resumed.Stats.CacheHits, resumed.Stats.Runs)
+	}
+	after := objects()
+	if len(after) != len(before) {
+		t.Errorf("%d disk objects after the resumed call, %d before", len(after), len(before))
+	}
+	for path, fi := range before {
+		if now, ok := after[path]; !ok || !os.SameFile(fi, now) || !now.ModTime().Equal(fi.ModTime()) {
+			t.Errorf("disk object %s was rewritten during the resumed call", filepath.Base(path))
+		}
+	}
+}
