@@ -118,6 +118,7 @@ func run(args []string) error {
 	if want("f4") {
 		ran = true
 		cfg := harness.Default()
+		cfg.Seeds = *seeds
 		cfg.Parallelism = *parallelism
 		cfg.Engine = eng
 		cfg.NoSeedBatch = !e.SeedBatching

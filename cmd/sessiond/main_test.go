@@ -273,6 +273,8 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/solve", `{"strategy":"warp"}`, http.StatusUnprocessableEntity},
 		{"/v1/table1", `{"s":2,"n":2,"seeds":-1}`, http.StatusUnprocessableEntity},
 		{"/v1/sweep", `{"kind":"sporadic-delay","seeds":-1}`, http.StatusUnprocessableEntity},
+		{"/v1/table1", `{"s":2,"n":2,"b":1}`, http.StatusUnprocessableEntity},
+		{"/v1/table1", `{"s":2,"n":0}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		status, data := post(t, ts, tc.path, tc.body)

@@ -4,9 +4,8 @@
 // results (maprange), context polling in every potentially unbounded loop
 // of a context-aware function (ctxpoll), facade-only imports in examples
 // (facadeonly), "pkg: message" panic strings in internal packages
-// (panicmsg), no scratch-backed run data escaping its Execute call
-// (scratchalias), no caching of failed runs (errcache), and a frozen wire
-// v1 JSON schema (wiretag). See internal/lint for the analyzers.
+// (panicmsg), no caching of failed runs (errcache), and a frozen wire v1
+// JSON schema (wiretag). See internal/lint for the analyzers.
 //
 // It runs in two modes:
 //

@@ -1,73 +1,57 @@
-// Package arena provides the allocation-recycling primitives behind the
-// simulator hot path: a chunked slice arena for the per-step access records
-// and a freelist for delivered-message buffers. Both are deterministic by
+// Package arena provides the allocation primitives behind the simulator hot
+// path: a chunked slice arena for the per-step access records and a
+// freelist for delivered-message buffers. Both are deterministic by
 // construction — they only move memory around, never consult time, rand or
 // the environment — and the lint suite pins the package inside the nodeterm
 // deterministic set so that stays true.
 //
-// Ownership rule (see DESIGN.md §11): memory handed out by an arena or
-// freelist belongs to the current run. Reset and Put recycle it wholesale,
-// so any slice obtained before a Reset is invalid afterwards. Executors
-// surface this as the Scratch contract: a Result produced with a given
-// Scratch is valid only until the next run with the same Scratch.
+// Each run owns the arena behind its recorded steps, so a handed-out trace
+// is never overwritten; a freelist recycles buffers only within a scratch
+// that no caller sees (see DESIGN.md §11).
 package arena
 
-// Chunk sizing: handed-out slices point into a chunk, and chunks are never
+// Chunk sizing: handed-out slices point into a chunk, and a chunk is never
 // reallocated or moved once created, so growing the arena cannot invalidate
 // earlier slices. Chunks may have different sizes: Reserve seeds an empty
 // arena with one exactly-sized chunk, the first organic chunk starts small
-// (short runs dominate the fresh-scratch path, and a zeroed 1024-entry
-// chunk of pointer-bearing records is the single biggest allocation of such
-// a run), and later chunks use the full size to amortize long runs.
+// (short runs dominate, and a zeroed 1024-entry chunk of pointer-bearing
+// records is the single biggest allocation of such a run), and later
+// chunks use the full size to amortize long runs.
 const (
 	chunkSize      = 1024
 	firstChunkSize = 256
 )
 
 // Chunked hands out small full-capacity slices of T backed by chunks. The
-// zero value is ready to use; Reset recycles every chunk for the next run
-// without freeing them.
+// zero value is ready to use. Only the chunk being filled is held here; a
+// full chunk lives on through the slices handed out of it.
 type Chunked[T any] struct {
-	chunks [][]T
-	ci     int // index of the chunk currently being filled
-	used   int // entries used in chunks[ci]
+	chunk []T
 }
 
 // One stores v and returns a 1-element slice with capacity 1 pointing at
-// it. The slice stays valid (and immovable) until the next Reset.
+// it. The slice never moves, however far the arena grows.
 func (a *Chunked[T]) One(v T) []T {
-	if a.ci == len(a.chunks) {
+	if len(a.chunk) == cap(a.chunk) {
 		n := chunkSize
-		if len(a.chunks) == 0 {
+		if a.chunk == nil {
 			n = firstChunkSize
 		}
-		a.chunks = append(a.chunks, make([]T, n))
+		a.chunk = make([]T, 0, n)
 	}
-	c := a.chunks[a.ci]
-	i := a.used
-	c[i] = v
-	a.used++
-	if a.used == len(c) {
-		a.ci++
-		a.used = 0
-	}
-	return c[i : i+1 : i+1]
+	i := len(a.chunk)
+	a.chunk = append(a.chunk, v)
+	return a.chunk[i : i+1 : i+1]
 }
 
 // Reserve seeds an empty arena with a single chunk of capacity n, so a run
 // whose record count is known in advance allocates exactly once. It is a
-// no-op on an arena that already owns chunks (warm scratch reuse) or for
-// n <= 0; overflow past the reserved chunk falls back to regular chunks.
+// no-op on an arena that already holds a chunk or for n <= 0; overflow
+// past the reserved chunk falls back to regular chunks.
 func (a *Chunked[T]) Reserve(n int) {
-	if n > 0 && len(a.chunks) == 0 {
-		a.chunks = append(a.chunks, make([]T, n))
+	if n > 0 && a.chunk == nil {
+		a.chunk = make([]T, 0, n)
 	}
-}
-
-// Reset recycles all chunks for reuse. Previously handed-out slices become
-// invalid: the next run will overwrite their contents.
-func (a *Chunked[T]) Reset() {
-	a.ci, a.used = 0, 0
 }
 
 // Freelist recycles variable-length []T buffers between producers and

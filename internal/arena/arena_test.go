@@ -31,40 +31,6 @@ func TestChunkedSurvivesChunkBoundary(t *testing.T) {
 	}
 }
 
-func TestChunkedResetRecyclesChunks(t *testing.T) {
-	var a Chunked[int]
-	for i := 0; i < 2*chunkSize; i++ {
-		a.One(i)
-	}
-	chunks := len(a.chunks)
-	a.Reset()
-	for i := 0; i < 2*chunkSize; i++ {
-		s := a.One(i + 100)
-		if s[0] != i+100 {
-			t.Fatalf("after reset, One(%d) returned %v", i+100, s)
-		}
-	}
-	if len(a.chunks) != chunks {
-		t.Fatalf("reset run grew chunks %d -> %d", chunks, len(a.chunks))
-	}
-}
-
-func TestChunkedSteadyStateAllocFree(t *testing.T) {
-	var a Chunked[int]
-	for i := 0; i < chunkSize; i++ {
-		a.One(i) // warm one chunk
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		a.Reset()
-		for i := 0; i < chunkSize; i++ {
-			a.One(i)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warmed arena allocated %.1f times per run, want 0", allocs)
-	}
-}
-
 func TestFreelistRoundTrip(t *testing.T) {
 	var f Freelist[string]
 	if got := f.Get(); got != nil {

@@ -51,8 +51,8 @@ type RunSummary struct {
 
 // Summarize digests a report into a cache-safe summary: all scalars are
 // copied, the violations slice is cloned, and the session spans are taken
-// from the trace while it is still valid when the report has one, else
-// copied from the certifier's decomposition.
+// from the trace when the report has one, else copied from the certifier's
+// decomposition.
 func Summarize(rep *Report) *RunSummary {
 	sum := &RunSummary{
 		Algorithm: rep.Algorithm,

@@ -72,9 +72,9 @@ type Report struct {
 	// Spec is the problem instance.
 	Spec Spec
 
-	// Trace is the recorded timed computation. Only RunSM, RunSMContext,
-	// RunSMScratch and their MP twins record it, for callers that print or
-	// inspect the steps; every other runner leaves it nil.
+	// Trace is the recorded timed computation. Only RunSM, RunSMContext and
+	// their MP twins record it, for callers that print or inspect the steps;
+	// every other runner leaves it nil.
 	Trace *model.Trace
 	// Finish is the running time: the time by which every port process is
 	// idle.
@@ -142,10 +142,10 @@ func RunSMContext(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Mode
 	return runSM(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, nil, StreamOptions{}, true)
 }
 
-// RunSMStream is RunSMScratch without the trace: the executor records no
-// steps, so memory stays O(ports) however many steps the run takes. Every
-// other field, and any verification error, is what the traced runners
-// report.
+// RunSMStream is RunSMContext without the trace, on a reusable scratch when
+// rs is non-nil: the executor records no steps, so memory stays O(ports)
+// however many steps the run takes. Every other field, and any
+// verification error, is what the traced runners report.
 func RunSMStream(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64, rs *RunScratch, so StreamOptions) (*Report, error) {
 	return runSM(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, rs, so, false)
 }
@@ -160,7 +160,7 @@ func runSM(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, sche
 		return nil, err
 	}
 	ctr := certify.New(len(sys.Procs), len(sys.Ports)).CheckAdmissibility(m)
-	opts := smOptions(spec, m, rs)
+	opts := smOptions(m, rs)
 	opts.MaxSteps = so.MaxSteps
 	opts.Observer = ctr
 	opts.DiscardSteps = !keepTrace
@@ -201,7 +201,7 @@ func runMP(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, sche
 		return nil, err
 	}
 	ctr := certify.New(len(sys.Procs), len(sys.PortProcs)).CheckAdmissibility(m)
-	opts := mpOptions(spec, m, rs)
+	opts := mpOptions(m, rs)
 	opts.MaxSteps = so.MaxSteps
 	opts.Observer = ctr
 	opts.DelayObserver = ctr

@@ -24,7 +24,6 @@ type FaultRun struct {
 	// the executor default.
 	MaxSteps int
 	// Scratch, when non-nil, backs the run with reusable executor buffers.
-	// Faulted runs record no trace, so the Report never aliases it.
 	Scratch *RunScratch
 }
 
@@ -45,7 +44,7 @@ func RunSMFaulted(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Mode
 		return nil, err
 	}
 	ctr := certify.New(len(sys.Procs), len(sys.Ports)).CollectViolations(m)
-	opts := smOptions(spec, m, fr.Scratch)
+	opts := smOptions(m, fr.Scratch)
 	opts.MaxSteps = fr.MaxSteps
 	opts.Injector = fr.Injector
 	opts.Observer = ctr
@@ -80,7 +79,7 @@ func runMPFaultedSched(ctx context.Context, alg MPAlgorithm, spec Spec, m timing
 		return nil, err
 	}
 	ctr := certify.New(len(sys.Procs), len(sys.PortProcs)).CollectViolations(m)
-	opts := mpOptions(spec, m, fr.Scratch)
+	opts := mpOptions(m, fr.Scratch)
 	opts.MaxSteps = fr.MaxSteps
 	opts.Injector = fr.Injector
 	opts.Observer = ctr

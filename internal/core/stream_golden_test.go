@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"sessionproblem/internal/alg/async"
 	"sessionproblem/internal/alg/gossip"
@@ -224,15 +226,16 @@ func TestFaultedAuditMatchesTrace(t *testing.T) {
 
 // TestTraceFreeRunnersRecordNoTrace pins which runners record steps. The
 // per-run trace-free runners return a nil Trace. The seed-group runners
-// return summaries, so their runs are probed through a shared scratch: a
-// traced run's Report aliases the scratch's step buffer, and a later run on
-// that scratch that recorded steps would overwrite them.
+// return summaries, so their trace-freedom is read off what they allocate:
+// a recording run stores a model.Step and an access record for every step
+// it takes, while a trace-free group of simulated seeds allocates well
+// under one model.Step per step.
 func TestTraceFreeRunnersRecordNoTrace(t *testing.T) {
 	ctx := context.Background()
-	smSpec, mpSpec := core.Spec{S: 2, N: 3, B: 2}, core.Spec{S: 2, N: 3}
+	smSpec, mpSpec := core.Spec{S: 20, N: 8, B: 2}, core.Spec{S: 20, N: 8}
 	m := timing.NewSemiSynchronous(1, 4, 6)
 	smAlg, mpAlg := semisync.NewSM(semisync.Auto), semisync.NewMP(semisync.Auto)
-	seeds := []uint64{1, 2}
+	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 
 	reps := map[string]func() (*core.Report, error){
 		"RunSMStream": func() (*core.Report, error) {
@@ -258,61 +261,68 @@ func TestTraceFreeRunnersRecordNoTrace(t *testing.T) {
 		}
 	}
 
-	// probe runs a traced Slow run on a fresh scratch, then run on the same
-	// scratch, and reports whether run overwrote the traced run's steps.
-	probe := func(comm string, run func(rs *core.RunScratch) error) bool {
+	// bytesPerStep runs group twice on one scratch and returns the bytes
+	// the second call allocated per step it simulated. Random schedules
+	// draw, so every seed of the group runs; a shared group would
+	// simulate one seed and prove nothing.
+	stepBytes := float64(unsafe.Sizeof(model.Step{}))
+	bytesPerStep := func(name string, group func(rs *core.RunScratch) ([]*core.RunSummary, core.BatchStats, error)) float64 {
 		t.Helper()
 		rs := new(core.RunScratch)
-		var first *core.Report
-		var err error
-		if comm == "sm" {
-			first, err = core.RunSMScratch(ctx, smAlg, smSpec, m, timing.Slow, 1, rs)
-		} else {
-			first, err = core.RunMPScratch(ctx, mpAlg, mpSpec, m, timing.Slow, 1, rs)
+		if _, _, err := group(rs); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		sums, stats, err := group(rs)
+		runtime.ReadMemStats(&after)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		before := append([]model.Step(nil), first.Trace.Steps...)
-		if err := run(rs); err != nil {
-			t.Fatal(err)
+		if stats.Forks != 0 {
+			t.Fatalf("%s: %d seeds shared the probe's run; the group must simulate every seed", name, stats.Forks)
 		}
-		for i, s := range first.Trace.Steps {
-			if s.Time != before[i].Time || s.Proc != before[i].Proc || s.Port != before[i].Port {
-				return true
+		steps := 0
+		for _, sum := range sums {
+			steps += sum.Steps
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(steps)
+	}
+	groups := map[string]func(rs *core.RunScratch) ([]*core.RunSummary, core.BatchStats, error){
+		"BatchRunSM": func(rs *core.RunScratch) ([]*core.RunSummary, core.BatchStats, error) {
+			return core.BatchRunSM(ctx, smAlg, smSpec, m, timing.Random, seeds, rs)
+		},
+		"BatchRunMP": func(rs *core.RunScratch) ([]*core.RunSummary, core.BatchStats, error) {
+			return core.BatchRunMP(ctx, mpAlg, mpSpec, m, timing.Random, seeds, rs)
+		},
+		"BatchRunMPFaulted": func(rs *core.RunScratch) ([]*core.RunSummary, core.BatchStats, error) {
+			frs := make([]core.FaultRun, len(seeds))
+			for i := range frs {
+				frs[i].Scratch = rs
 			}
-		}
-		return false
+			return core.BatchRunMPFaulted(ctx, mpAlg, mpSpec, m, timing.Random, seeds, frs)
+		},
 	}
-	groups := map[string]struct {
-		comm string
-		run  func(rs *core.RunScratch) error
-	}{
-		"BatchRunSM": {"sm", func(rs *core.RunScratch) error {
-			_, _, err := core.BatchRunSM(ctx, smAlg, smSpec, m, timing.Fast, seeds, rs)
-			return err
-		}},
-		"BatchRunMP": {"mp", func(rs *core.RunScratch) error {
-			_, _, err := core.BatchRunMP(ctx, mpAlg, mpSpec, m, timing.Fast, seeds, rs)
-			return err
-		}},
-		"BatchRunMPFaulted": {"mp", func(rs *core.RunScratch) error {
-			frs := []core.FaultRun{{Scratch: rs}, {Scratch: rs}}
-			_, _, err := core.BatchRunMPFaulted(ctx, mpAlg, mpSpec, m, timing.Fast, seeds, frs)
-			return err
-		}},
-	}
-	for name, g := range groups {
-		if probe(g.comm, g.run) {
-			t.Errorf("%s recorded steps into the scratch", name)
+	for name, group := range groups {
+		if got := bytesPerStep(name, group); got >= stepBytes {
+			t.Errorf("%s allocated %.1f bytes per step, want under one model.Step (%.0f bytes): it records steps", name, got, stepBytes)
 		}
 	}
-	// The probe must be able to see a recording run.
-	if !probe("sm", func(rs *core.RunScratch) error {
-		_, err := core.RunSMScratch(ctx, smAlg, smSpec, m, timing.Fast, 1, rs)
-		return err
-	}) {
-		t.Fatal("probe missed a traced run's recording")
+	// The measure must be able to see a recording run.
+	traced := bytesPerStep("RunSMContext", func(*core.RunScratch) ([]*core.RunSummary, core.BatchStats, error) {
+		sums := make([]*core.RunSummary, len(seeds))
+		for i, seed := range seeds {
+			rep, err := core.RunSMContext(ctx, smAlg, smSpec, m, timing.Random, seed)
+			if err != nil {
+				return nil, core.BatchStats{}, err
+			}
+			sums[i] = core.Summarize(rep)
+		}
+		return sums, core.BatchStats{}, nil
+	})
+	if traced < stepBytes {
+		t.Fatalf("a traced run allocated %.1f bytes per step, under one model.Step (%.0f bytes): the measure cannot see recording", traced, stepBytes)
 	}
 }
 

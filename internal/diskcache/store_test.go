@@ -349,3 +349,33 @@ func TestStoreReadOnlyObjectsDirStopsRetrying(t *testing.T) {
 		t.Errorf("Corrupt = %d after 5 Gets with read-only shard, want 1", s.Corrupt())
 	}
 }
+
+// FuzzDecode holds the object decoder, which reads files a crash or a
+// foreign process may have damaged, to its contract: it never panics, what
+// it accepts is exactly an envelope encode writes (reserved bytes aside),
+// and an object encode wrote decodes to its payload under its own key and
+// under no other, and not once truncated.
+func FuzzDecode(f *testing.F) {
+	f.Add(encode("k", []byte("v")), "k", []byte("v"))
+	f.Add(encode("k", []byte("v"))[:headerSize], "k", []byte{})
+	f.Add([]byte(magic+"\x01\x00\x00\x00\xff\xff\xff\xff"), "", []byte("x"))
+	f.Fuzz(func(t *testing.T, raw []byte, key string, data []byte) {
+		if got, ok := decode(raw, key); ok {
+			want := encode(key, got)
+			copy(want[6:8], raw[6:8])
+			if !bytes.Equal(want, raw) {
+				t.Fatalf("decode accepted %q, which encode(%q, %q) does not write", raw, key, got)
+			}
+		}
+		obj := encode(key, data)
+		if got, ok := decode(obj, key); !ok || !bytes.Equal(got, data) {
+			t.Fatalf("decode(encode(%q, %q)) = %q, %v", key, data, got, ok)
+		}
+		if _, ok := decode(obj, key+"x"); ok {
+			t.Fatalf("decode accepted an object for key %q under key %q", key, key+"x")
+		}
+		if _, ok := decode(obj[:len(obj)-1], key); ok {
+			t.Fatalf("decode accepted a truncated object for key %q", key)
+		}
+	})
+}

@@ -20,8 +20,8 @@ const cacheShards = 64
 // a Get or who observes a Put.
 //
 // Implementations must be safe for concurrent use, must hand out only
-// immutable values (never anything aliasing reusable trace or scratch
-// state), and must count every Get as exactly one hit or one miss — the
+// immutable values (a hit is shared by every caller that asks for its
+// key), and must count every Get as exactly one hit or one miss — the
 // engine attributes per-Execute deltas of Hits/Misses to its Stats.
 type RunCacher interface {
 	// Get returns the cached value for key, counting a hit or a miss.
@@ -38,9 +38,8 @@ type RunCacher interface {
 // hashing only routes a key to a shard, equality is always decided on the
 // complete key, so hash collisions can never alias two distinct runs.
 //
-// Values are opaque to the engine; callers store immutable summaries (never
-// anything aliasing reusable trace or scratch state) so a hit can be handed
-// to any number of concurrent readers. A nil *RunCache is a valid no-op
+// Values are opaque to the engine; callers store immutable summaries so a
+// hit can be handed to any number of concurrent readers. A nil *RunCache is a valid no-op
 // cache: Get always misses without counting, Put discards.
 type RunCache struct {
 	shards [cacheShards]cacheShard

@@ -43,6 +43,9 @@ func SweepDiameter(ctx context.Context, s, n int, c2, hopDelay sim.Duration, see
 	if err := checkSeeds(seeds); err != nil {
 		return nil, err
 	}
+	if err := checkSpec(s, n, 0, false); err != nil {
+		return nil, err
+	}
 	if len(families) == 0 {
 		families = []string{"complete", "star", "ring", "line"}
 	}

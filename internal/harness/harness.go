@@ -111,9 +111,9 @@ func (c Config) withDefaults() Config {
 }
 
 // newEngine builds the harness's default engine: the given parallelism plus
-// a reusable core.RunScratch per worker, so the sweep's steady state runs
-// allocation-free in the executors. Safe because the harness runs
-// trace-free, and trace-free reports never alias the scratch.
+// a reusable core.RunScratch per worker, so the sweep's steady state
+// recycles the executors' queues and bookkeeping. A scratch holds capacity
+// only, so nothing a run reports points into it.
 func newEngine(parallelism int) *engine.Engine {
 	return engine.New(
 		engine.WithParallelism(parallelism),
@@ -244,6 +244,21 @@ func (g groupOutcome) Account() engine.Counts {
 func checkSeeds(k int) error {
 	if k < 0 {
 		return fmt.Errorf("harness: seed count must be non-negative, got %d", k)
+	}
+	return nil
+}
+
+// checkSpec rejects an instance the bound formulas cannot evaluate, before
+// any bound is computed or any run starts: s or n below 1, or, where
+// shared-memory cells run (sm), an access bound b below 2.
+func checkSpec(s, n, b int, sm bool) error {
+	switch {
+	case s < 1:
+		return fmt.Errorf("harness: s must be >= 1, got %d", s)
+	case n < 1:
+		return fmt.Errorf("harness: n must be >= 1, got %d", n)
+	case sm && b < 2:
+		return fmt.Errorf("harness: b must be >= 2, got %d", b)
 	}
 	return nil
 }
@@ -503,6 +518,9 @@ func Table1(cfg Config) ([]Cell, error) {
 // in-flight simulations mid-computation.
 func Table1Ctx(ctx context.Context, cfg Config) ([]Cell, error) {
 	cfg = cfg.withDefaults()
+	if err := checkSpec(cfg.S, cfg.N, cfg.B, true); err != nil {
+		return nil, err
+	}
 	defs := table1Defs(cfg)
 	sts := timing.AllStrategies()
 	outs, err := runGroups(ctx, cfg.engineOrNew(), len(defs)*len(sts), cfg.Seeds, cfg.NoSeedBatch,

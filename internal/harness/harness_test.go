@@ -405,6 +405,42 @@ func TestDefaultConfigValid(t *testing.T) {
 	}
 }
 
+// TestInvalidSpecsRejected: every entry point that computes bounds returns
+// an error for s or n below 1, and Table 1 and the grid for an access bound
+// below 2, instead of panicking in the bound formulas.
+func TestInvalidSpecsRejected(t *testing.T) {
+	ctx := context.Background()
+	with := func(f func(*Config)) Config {
+		cfg := smallConfig()
+		f(&cfg)
+		return cfg
+	}
+	calls := map[string]struct {
+		call func() error
+		want string
+	}{
+		"Table1 b=1": {func() error { _, err := Table1Ctx(ctx, with(func(c *Config) { c.B = 1 })); return err }, "b must be >= 2, got 1"},
+		"Table1 b=0": {func() error { _, err := Table1Ctx(ctx, with(func(c *Config) { c.B = 0 })); return err }, "b must be >= 2, got 0"},
+		"Table1 n=0": {func() error { _, err := Table1Ctx(ctx, with(func(c *Config) { c.N = 0 })); return err }, "n must be >= 1, got 0"},
+		"Table1 s=0": {func() error { _, err := Table1Ctx(ctx, with(func(c *Config) { c.S = 0 })); return err }, "s must be >= 1, got 0"},
+		"Grid n=0": {func() error {
+			_, err := GridCtx(ctx, smallConfig(), []struct{ S, N int }{{2, 0}})
+			return err
+		}, "n must be >= 1, got 0"},
+		"Tightness n=0": {func() error { _, err := Tightness(with(func(c *Config) { c.N = 0 })); return err }, "n must be >= 1, got 0"},
+		"Sweep s=0": {func() error {
+			_, err := Sweep(ctx, SweepSpec{Kind: SweepKindSporadicDelay, S: 0, N: 3, C1: 2, D2: 40, Steps: 3})
+			return err
+		}, "s must be >= 1, got 0"},
+		"SweepDiameter n=0": {func() error { _, err := SweepDiameter(ctx, 3, 0, 3, 10, 1); return err }, "n must be >= 1, got 0"},
+	}
+	for name, c := range calls {
+		if err := c.call(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, c.want)
+		}
+	}
+}
+
 // TestNegativeSeedsRejected: every run-matrix entry point returns an error
 // for a negative seed count instead of panicking (or, for F5, looping over
 // 2^64 seeds), and runs nothing.

@@ -179,6 +179,9 @@ func Sweep(ctx context.Context, sp SweepSpec) ([]SweepPoint, error) {
 // the model behaves synchronously (per-session ~ c1..O(γ)); as d1 -> 0 it
 // behaves asynchronously (per-session ~ d2).
 func sweepSporadicDelay(ctx context.Context, sp SweepSpec) ([]SweepPoint, error) {
+	if err := checkSpec(sp.S, sp.N, 0, false); err != nil {
+		return nil, err
+	}
 	steps := sp.Steps
 	if steps < 2 {
 		steps = 2

@@ -29,6 +29,9 @@ type TightnessRow struct {
 // nontrivial min/max bound expressions).
 func Tightness(cfg Config) ([]TightnessRow, error) {
 	cfg = cfg.withDefaults()
+	if err := checkSpec(cfg.S, cfg.N, 0, false); err != nil {
+		return nil, err
+	}
 	var rows []TightnessRow
 	p := bounds.Params{
 		S: cfg.S, N: cfg.N, B: cfg.B,

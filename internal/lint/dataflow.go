@@ -1,16 +1,15 @@
-// Intra-procedural dataflow. The PR 4/5 performance work introduced
-// invariants that are about where values *flow*, not what a single
-// expression looks like: scratch-backed traces must not outlive their
-// Execute call, and cached summaries must never alias scratch memory. A
-// syntactic analyzer cannot see that `sum` three statements after a
-// `core.RunSMScratch` call is (or is not) derived from the scratch-backed
-// report, so this file adds the minimal dataflow layer the scratchalias and
-// errcache analyzers need: per-function def/use chains with assignment,
-// range, field-store and return tracking, run to a fixed point. It stays on
-// go/ast + go/types only — same stdlib-only constraint as the loader — and
-// deliberately stops at function boundaries: calls are modeled by explicit
-// analyzer-supplied rules, never by inlining, so analysis cost stays linear
-// in the function body.
+// Intra-procedural dataflow. Some of this repository's invariants are about
+// where values *flow*, not what a single expression looks like: a cached
+// value must never be one produced alongside an unchecked error. A
+// syntactic analyzer cannot see that `sum` three statements after a run
+// call is (or is not) derived from that call's result, so this file adds
+// the minimal dataflow layer the errcache analyzer needs: per-function
+// def/use chains with assignment, range, field-store and return tracking,
+// run to a fixed point. It stays on go/ast + go/types only — same
+// stdlib-only constraint as the loader — and deliberately stops at
+// function boundaries: calls are modeled by explicit analyzer-supplied
+// rules, never by inlining, so analysis cost stays linear in the function
+// body.
 package lint
 
 import (
@@ -42,8 +41,8 @@ func collectFuncs(files []*ast.File) []funcDef {
 // taintRules parameterizes one taint pass over a function body.
 type taintRules struct {
 	// sourceExpr reports whether expr is a taint source by itself,
-	// independent of its operands (e.g. a composite literal smuggling a
-	// scratch pointer).
+	// independent of its operands (e.g. an identifier bound to a tracked
+	// call's result).
 	sourceExpr func(expr ast.Expr) bool
 	// taintedCall decides whether a call expression produces tainted data.
 	// argTainted reports the taint of any expression (typically consulted
@@ -248,7 +247,7 @@ func (fl *flow) refResult(expr ast.Expr) bool {
 // refCarrying reports whether a value of type t can alias other memory:
 // pointers, slices, maps, channels, funcs, interfaces, or aggregates
 // containing any of them. Basic scalars (and strings, which are immutable)
-// copy by value and cannot leak a scratch buffer.
+// copy by value and cannot carry tainted memory along.
 func refCarrying(t types.Type) bool {
 	return refCarryingSeen(t, make(map[types.Type]bool))
 }
@@ -281,33 +280,6 @@ func refCarryingSeen(t types.Type, seen map[types.Type]bool) bool {
 		return false
 	}
 	return true
-}
-
-// namedType returns the qualified "pkgpath.Name" of expr's type, looking
-// through one pointer, or "" when it has no named type.
-func namedType(info *types.Info, expr ast.Expr) string {
-	tv, ok := info.Types[expr]
-	if !ok || tv.Type == nil {
-		return ""
-	}
-	return qualifiedName(tv.Type)
-}
-
-// qualifiedName renders t's named type as "pkgpath.Name" through one
-// pointer level, or "".
-func qualifiedName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
 }
 
 // isRunCacherPut reports whether call is a Put on a run cache: a method

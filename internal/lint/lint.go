@@ -1,4 +1,4 @@
-// Package lint is a self-contained static-analysis framework plus the five
+// Package lint is a self-contained static-analysis framework plus the seven
 // project-specific analyzers that machine-enforce this repository's
 // determinism and admissibility conventions:
 //
@@ -11,17 +11,14 @@
 //     sessionproblem/internal/... (a short exemption list excepted);
 //   - panicmsg: panics in internal packages carry a "pkg: message"-prefixed
 //     constant string;
-//   - scratchalias: scratch-backed run data (the PR 4 executor ownership
-//     contract) must not escape its Execute call into fields, globals,
-//     channels, caches or past-the-boundary returns;
 //   - errcache: RunCacher.Put must be guarded by an error check — errors
 //     are never cached;
 //   - wiretag: the wire v1 envelope JSON schema must match the committed
 //     wire/schema_v1.json golden.
 //
-// The last three are dataflow analyzers: they run on per-function def/use
-// chains (dataflow.go) instead of single-expression syntax, so they can
-// follow a value from the call that produced it to the store that leaks it.
+// Errcache is a dataflow analyzer: it runs on per-function def/use chains
+// (dataflow.go) instead of single-expression syntax, so it can follow a
+// value from the call that produced it to the store that caches it.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis but is
 // built entirely on the standard library (go/ast, go/types, go/importer and
@@ -61,7 +58,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in a fixed order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Nodeterm, Maprange, Ctxpoll, Facadeonly, Panicmsg, Scratchalias, Errcache, Wiretag}
+	return []*Analyzer{Nodeterm, Maprange, Ctxpoll, Facadeonly, Panicmsg, Errcache, Wiretag}
 }
 
 // A Diagnostic is one reported violation.
@@ -215,4 +212,15 @@ func pkgFunc(info *types.Info, expr ast.Expr) (pkgPath, name string) {
 		return "", ""
 	}
 	return pn.Imported().Path(), sel.Sel.Name
+}
+
+// BasePkgPath strips a test-variant suffix ("pkg [pkg.test]" and the xtest
+// "_test" package suffix) so path predicates treat test code as part of the
+// package whose invariants it exercises. cmd/sessionlint applies it to the
+// unit import paths go vet hands over for test compilations.
+func BasePkgPath(path string) string {
+	if i := strings.Index(path, " ["); i >= 0 {
+		path = path[:i]
+	}
+	return strings.TrimSuffix(path, "_test")
 }

@@ -26,9 +26,9 @@ func TestNodetermCoversFaultPackage(t *testing.T) {
 	linttest.Run(t, lint.Nodeterm, "testdata/nodeterm/fault", "sessionproblem/internal/fault")
 }
 
-// The scratch arenas back recorded traces, so internal/arena sits in the
-// nodeterm set too: nondeterministic capacity or recycling decisions would
-// silently leak into results via reused backing arrays.
+// The arenas back recorded traces and message buffers, so internal/arena
+// sits in the nodeterm set too: nondeterministic capacity or recycling
+// decisions would silently leak into results via reused backing arrays.
 func TestNodetermCoversArenaPackage(t *testing.T) {
 	linttest.Run(t, lint.Nodeterm, "testdata/nodeterm/arena", "sessionproblem/internal/arena")
 }
@@ -146,17 +146,6 @@ func TestDeterministicSetCoversSimulatorPackages(t *testing.T) {
 			t.Errorf("%s should not be in the deterministic set", path)
 		}
 	}
-}
-
-func TestScratchaliasFixtures(t *testing.T) {
-	linttest.Run(t, lint.Scratchalias, "testdata/scratchalias", "sessionproblem/internal/consumerfixture")
-}
-
-// The scratch implementation packages may alias scratch memory freely —
-// that is their whole job — so the same fixture loaded under an
-// implementation path must be silent.
-func TestScratchaliasIgnoresImplementationPackages(t *testing.T) {
-	linttest.RunClean(t, lint.Scratchalias, "testdata/nodeterm/det", "sessionproblem/internal/sm")
 }
 
 func TestErrcacheFixtures(t *testing.T) {

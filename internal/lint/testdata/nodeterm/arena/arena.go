@@ -1,4 +1,4 @@
-// Fixture loaded as sessionproblem/internal/arena: the scratch arenas back
+// Fixture loaded as sessionproblem/internal/arena: the arenas back
 // recorded traces, so any nondeterminism here (timestamped buffers, random
 // chunk sizing) would leak into results — every source is diagnosed.
 package arena

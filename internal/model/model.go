@@ -55,9 +55,8 @@ func (s Step) IsPortStep() bool { return s.Port != NoPort }
 // StepObserver consumes executed steps online, in execution order, as the
 // executors produce them. It is the hook behind online certification:
 // every verified run counts sessions incrementally through an observer, and
-// trace-free runs never materialize Trace.Steps. Observers must not retain
-// the step's Accesses slice past the call (executors may reuse the backing
-// arena), and under discarded-step runs Accesses is nil.
+// trace-free runs never materialize Trace.Steps. Under discarded-step runs
+// the observed steps carry no Accesses.
 type StepObserver interface {
 	ObserveStep(s Step)
 }

@@ -50,35 +50,21 @@ type System struct {
 	PortProcs []int
 }
 
-// Scratch holds every buffer the executor grows during a run: the event
-// queue, the recorded steps and their access-record arena, the message-delay
-// log, and the per-process message buffers with their freelist. Reusing a
-// Scratch across runs recycles all of that capacity, making steady-state
-// execution allocation-free apart from what the algorithm itself allocates.
-//
-// Ownership contract: a Result produced with a given Scratch — including
-// Trace, Delays, IdleAt and Crashed — aliases the scratch's memory and is
-// valid only until the next run with the same Scratch. Determinism is
-// unaffected: reuse recycles backing arrays, never values.
+// Scratch holds the buffers the executor grows during a run and never
+// hands out: the event queue, the per-process message buffers with their
+// freelist, the per-process bookkeeping and the tick batch. Reusing a
+// Scratch across runs recycles that capacity, so steady-state execution
+// allocates only what the Result owns and what the algorithm itself
+// allocates. A scratch holds capacity only: every slice a Result returns
+// (the trace, its access records, Delays, IdleAt, Crashed) is allocated by
+// its own run.
 type Scratch struct {
 	queue    sim.Queue
-	steps    []model.Step
-	accesses arena.Chunked[model.VarAccess]
-	delays   []timing.MessageDelay
 	buffers  [][]Message
 	free     arena.Freelist[Message]
-	idleAt   []sim.Time
-	crashed  []bool
 	idleMark []bool
 	portIdx  []int       // proc -> port index, -1 = none
 	batch    []sim.Event // tick-batch scratch for the dispatch loop
-	// lastSteps/lastDelays are the record counts of the previous run.
-	// Pooled scratches detach the step, access and delay buffers on
-	// release (a Result aliases them), so these scalars are what carry the
-	// sizing knowledge across pool cycles: the next run pre-sizes from the
-	// observed high-water marks instead of the caller's worst-case hints.
-	lastSteps  int
-	lastDelays int
 }
 
 // Options tune an execution.
@@ -106,12 +92,12 @@ type Options struct {
 	// faults are recorded in Result.Faults; crashed processes count as
 	// settled for termination.
 	Injector fault.Injector
-	// Scratch, when non-nil, backs the run with reusable buffers; see the
-	// Scratch ownership contract. Nil runs with fresh buffers.
+	// Scratch, when non-nil, backs the run with reusable buffers. Nil runs
+	// on a pooled scratch.
 	Scratch *Scratch
-	// ExpectedSteps and ExpectedDelays pre-size the trace and delay log
-	// when the scratch has no warm capacity yet. Zero means no pre-sizing;
-	// both are hints only.
+	// ExpectedSteps and ExpectedDelays pre-size the trace and delay log of
+	// a run that records them. Zero means no pre-sizing; both are hints
+	// only.
 	ExpectedSteps  int
 	ExpectedDelays int
 	// WindowHint is the timing model's maximum scheduling increment
@@ -192,59 +178,19 @@ const ctxCheckInterval = 1024
 
 // scratchPool recycles scratches for scratch-free runs, so the event queue,
 // message buffers, freelist and bookkeeping keep their warm capacity even
-// when the caller did not supply a Scratch. Only buffers the Result never
-// aliases stay attached; release detaches the rest, so a handed-out Result
-// is never mutated by a later pooled run. Reuse is invisible to
+// when the caller did not supply a Scratch. Reuse is invisible to
 // determinism: warm capacity changes where values live, never what they
 // are.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// release detaches every buffer a Result may alias (trace steps, the access
-// arena, Delays, IdleAt, Crashed) and returns the scratch to the pool.
-func (sc *Scratch) release() {
-	sc.lastSteps = len(sc.steps)
-	sc.lastDelays = len(sc.delays)
-	sc.steps = nil
-	sc.accesses = arena.Chunked[model.VarAccess]{}
-	sc.delays = nil
-	sc.idleAt = nil
-	sc.crashed = nil
-	scratchPool.Put(sc)
-}
-
 // prepare resets the scratch for a run over n processes.
 func (sc *Scratch) prepare(sys *System, opts *Options) {
 	n := len(sys.Procs)
-	expectedSteps, expectedDelays := opts.ExpectedSteps, opts.ExpectedDelays
 	sc.queue.Reset()
 	sc.queue.Reserve(n)
 	if opts.WindowHint > 0 {
 		sc.queue.SetWindow(opts.WindowHint)
 	}
-	if sc.lastSteps > 0 {
-		// Observed sizes beat the caller's worst-case hints: short-lived
-		// runs would otherwise pay multi-kilobyte zeroed allocations for
-		// a few dozen steps. The slack absorbs seed-to-seed variation;
-		// append growth covers any remainder.
-		expectedSteps = sc.lastSteps + sc.lastSteps/8 + 8
-		expectedDelays = sc.lastDelays + sc.lastDelays/8 + 8
-	}
-	if opts.DiscardSteps {
-		// Nothing is appended to the step, access or delay buffers;
-		// pre-sizing them would be the very O(steps) allocation streaming
-		// avoids.
-		expectedSteps, expectedDelays = 0, 0
-	}
-	if sc.steps == nil && expectedSteps > 0 {
-		sc.steps = make([]model.Step, 0, expectedSteps)
-	}
-	sc.steps = sc.steps[:0]
-	sc.accesses.Reset()
-	sc.accesses.Reserve(expectedSteps) // one access record per step
-	if sc.delays == nil && expectedDelays > 0 {
-		sc.delays = make([]timing.MessageDelay, 0, expectedDelays)
-	}
-	sc.delays = sc.delays[:0]
 
 	if cap(sc.buffers) >= n {
 		// Recycle per-process buffer capacity through the freelist so a
@@ -268,13 +214,9 @@ func (sc *Scratch) prepare(sys *System, opts *Options) {
 		sc.buffers = make([][]Message, n)
 	}
 
-	sc.idleAt = arena.Resize(sc.idleAt, n)
-	sc.crashed = arena.Resize(sc.crashed, n)
 	sc.idleMark = arena.Resize(sc.idleMark, n)
 	sc.portIdx = arena.Resize(sc.portIdx, n)
 	for i := 0; i < n; i++ {
-		sc.idleAt[i] = -1
-		sc.crashed[i] = false
 		sc.idleMark[i] = false
 		sc.portIdx[i] = -1
 	}
@@ -310,21 +252,29 @@ func RunContext(ctx context.Context, sys *System, sched Scheduler, opts Options)
 		sc = scratchPool.Get().(*Scratch)
 		// Registered before the batch save-back below so it runs after it:
 		// the scratch must be fully quiescent before re-entering the pool.
-		defer sc.release()
+		defer scratchPool.Put(sc)
 	}
 	sc.prepare(sys, &opts)
 
 	res := &Result{
 		Trace:   &model.Trace{NumProcs: n, NumPorts: len(sys.PortProcs)},
-		IdleAt:  sc.idleAt,
-		Crashed: sc.crashed,
+		IdleAt:  make([]sim.Time, n),
+		Crashed: make([]bool, n),
 	}
-	// finish publishes the recorded steps and delays into the result;
-	// called at every exit that hands res to the caller (appends may have
-	// moved sc.steps and sc.delays).
-	finish := func() {
-		res.Trace.Steps = sc.steps
-		res.Delays = sc.delays
+	for p := range res.IdleAt {
+		res.IdleAt[p] = -1
+	}
+	// The recorded steps point their access records into an arena the run
+	// owns, so a handed-out trace is never touched by a later run.
+	var accesses arena.Chunked[model.VarAccess]
+	if !opts.DiscardSteps {
+		if opts.ExpectedSteps > 0 {
+			res.Trace.Steps = make([]model.Step, 0, opts.ExpectedSteps)
+			accesses.Reserve(opts.ExpectedSteps) // one access record per step
+		}
+		if opts.ExpectedDelays > 0 {
+			res.Delays = make([]timing.MessageDelay, 0, opts.ExpectedDelays)
+		}
 	}
 
 	q := &sc.queue
@@ -385,8 +335,8 @@ dispatch:
 				}
 				recorded++
 				if !opts.DiscardSteps {
-					st.Accesses = sc.accesses.One(model.VarAccess{Var: bufVar(dst)})
-					sc.steps = append(sc.steps, st)
+					st.Accesses = accesses.One(model.VarAccess{Var: bufVar(dst)})
+					res.Trace.Steps = append(res.Trace.Steps, st)
 				}
 				if opts.Observer != nil {
 					opts.Observer.ObserveStep(st)
@@ -397,7 +347,6 @@ dispatch:
 					// Partial result: under fault injection non-termination is a
 					// degraded outcome to audit, not an invariant failure, so
 					// the trace so far rides along with the error.
-					finish()
 					return res, fmt.Errorf("%w (cap %d)", ErrNoTermination, maxSteps)
 				}
 				steps++
@@ -472,8 +421,8 @@ dispatch:
 				}
 				recorded++
 				if !opts.DiscardSteps {
-					st.Accesses = sc.accesses.One(model.VarAccess{Var: bufVar(p)})
-					sc.steps = append(sc.steps, st)
+					st.Accesses = accesses.One(model.VarAccess{Var: bufVar(p)})
+					res.Trace.Steps = append(res.Trace.Steps, st)
 				}
 				if opts.Observer != nil {
 					opts.Observer.ObserveStep(st)
@@ -517,7 +466,7 @@ dispatch:
 						})
 						d := timing.MessageDelay{Src: p, Dst: dst, Sent: ev.At, Delivered: at}
 						if !opts.DiscardSteps {
-							sc.delays = append(sc.delays, d)
+							res.Delays = append(res.Delays, d)
 						}
 						if opts.DelayObserver != nil {
 							opts.DelayObserver.ObserveDelay(d)
@@ -537,7 +486,7 @@ dispatch:
 							})
 							dd := timing.MessageDelay{Src: p, Dst: dst, Sent: ev.At, Delivered: dupAt}
 							if !opts.DiscardSteps {
-								sc.delays = append(sc.delays, dd)
+								res.Delays = append(res.Delays, dd)
 							}
 							if opts.DelayObserver != nil {
 								opts.DelayObserver.ObserveDelay(dd)
@@ -566,7 +515,6 @@ dispatch:
 			}
 		}
 	}
-	finish()
 
 	if idleCount+crashedLive != n {
 		return nil, fmt.Errorf("mp: executor drained queue with %d/%d processes idle", idleCount, n)

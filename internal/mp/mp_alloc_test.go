@@ -36,8 +36,9 @@ func (s constSched) Delay(int, int) sim.Duration { return s.delay }
 
 // TestRunSteadyStateAllocs pins the executor's per-step allocation budget:
 // with a warmed Scratch, a full run costs at most one allocation per
-// recorded step (amortized — the budget covers the Result/Trace headers and
-// leaves the delivery/step hot path itself allocation-free).
+// recorded step (amortized — the budget covers the Result and the trace and
+// delay log it owns, and leaves the delivery/step hot path itself
+// allocation-free).
 func TestRunSteadyStateAllocs(t *testing.T) {
 	const procs = 8
 	build := func() *mp.System {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sessionproblem/internal/fault"
@@ -189,5 +190,57 @@ func TestRunContextAlreadyExpired(t *testing.T) {
 	}
 	if res != nil {
 		t.Fatal("expired context still produced a result")
+	}
+}
+
+// TestResultOwnsItsSlices pins that a Scratch holds capacity only: a traced
+// Result taken from a run on a scratch keeps its steps with their access
+// records, Delays, IdleAt and Crashed through later runs of another system
+// on the same scratch.
+func TestResultOwnsItsSlices(t *testing.T) {
+	m := timing.NewSynchronous(2, 5)
+	var sc Scratch
+	// Three greeters and a silent process that crashes at its first step.
+	sys := greeterSystem(3)
+	sys.Procs = append(sys.Procs, &silent{left: 2})
+	inj := script{stepFn: func(p int, _ sim.Time) fault.StepEffect {
+		if p == 3 {
+			return fault.StepEffect{Kind: fault.Crash}
+		}
+		return fault.StepEffect{}
+	}}
+	res, err := Run(sys, m.NewScheduler(timing.Slow, 1), Options{Injector: inj, Scratch: &sc})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !res.Crashed[3] || len(res.Delays) == 0 {
+		t.Fatalf("first run: Crashed %v, %d delays; want process 3 crashed and delays recorded", res.Crashed, len(res.Delays))
+	}
+	steps := slices.Clone(res.Trace.Steps)
+	for i := range steps {
+		steps[i].Accesses = slices.Clone(steps[i].Accesses)
+	}
+	delays := slices.Clone(res.Delays)
+	idleAt, crashed := slices.Clone(res.IdleAt), slices.Clone(res.Crashed)
+
+	for round := 0; round < 3; round++ {
+		other := timing.NewSynchronous(3, sim.Duration(4+round))
+		if _, err := Run(greeterSystem(5), other.NewScheduler(timing.Slow, 1), Options{Scratch: &sc}); err != nil {
+			t.Fatalf("later run %d: %v", round, err)
+		}
+	}
+	if len(res.Trace.Steps) != len(steps) {
+		t.Fatalf("trace length changed by a later run: %d, was %d", len(res.Trace.Steps), len(steps))
+	}
+	for i := range steps {
+		if !reflect.DeepEqual(res.Trace.Steps[i], steps[i]) {
+			t.Fatalf("step %d changed by a later run: %+v, was %+v", i, res.Trace.Steps[i], steps[i])
+		}
+	}
+	if !slices.Equal(res.Delays, delays) {
+		t.Errorf("Delays changed by a later run: %v, was %v", res.Delays, delays)
+	}
+	if !slices.Equal(res.IdleAt, idleAt) || !slices.Equal(res.Crashed, crashed) {
+		t.Errorf("IdleAt %v and Crashed %v changed by a later run: were %v and %v", res.IdleAt, res.Crashed, idleAt, crashed)
 	}
 }

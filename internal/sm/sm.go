@@ -68,29 +68,19 @@ type System struct {
 	Recycle func(old, new Value)
 }
 
-// Scratch holds every buffer the executor grows during a run: the event
-// queue, the recorded steps and their access-record arena, the per-process
-// bookkeeping and the variable slots. Reusing a Scratch across runs
-// recycles all of that capacity, making steady-state execution
-// allocation-free.
+// Scratch holds the buffers the executor grows during a run and never
+// hands out: the event queue, the per-process bookkeeping, the variable
+// slots and the tick batch. Reusing a Scratch across runs recycles that
+// capacity, so steady-state execution allocates only what the Result
+// owns. A scratch holds capacity only: every slice a Result returns (the
+// trace, its access records, IdleAt, Crashed) is allocated by its own run.
 //
 // Variable state lives in one []varSlot, 32 bytes per variable, so a step
 // reads and writes its variable's value and accessor list on one cache
 // line. With System.NumVars set, variable v is slot v; otherwise a map
 // assigns slots in first-access order.
-//
-// Ownership contract: a Result produced with a given Scratch — including
-// Trace, IdleAt and Crashed — aliases the scratch's memory and is valid
-// only until the next run with the same Scratch. Callers that retain
-// results must either copy them or run without a Scratch. Determinism is
-// unaffected: reuse recycles backing arrays, never values — every field of
-// every recorded step is written fresh by the run that produces it.
 type Scratch struct {
 	queue    sim.Queue
-	steps    []model.Step
-	accesses arena.Chunked[model.VarAccess]
-	idleAt   []sim.Time
-	crashed  []bool
 	probes   []int
 	portIdx  []int                   // proc -> port index, -1 = none
 	portVar  []model.VarID           // proc -> port variable (valid when portIdx >= 0)
@@ -102,12 +92,6 @@ type Scratch struct {
 	spill    map[model.VarID][]int32 // accessors past a slot's inline three (b >= 4 only)
 	prevVals map[model.VarID]Value   // injected runs: each variable's pre-update value
 	batch    []sim.Event             // tick-batch scratch for the dispatch loop
-	// lastSteps is the step count of the previous run. Pooled scratches
-	// detach the step and access buffers on release (a Result aliases them),
-	// so this scalar is what carries the sizing knowledge across pool
-	// cycles: the next run pre-sizes from the observed high-water mark
-	// instead of the caller's worst-case hint.
-	lastSteps int
 }
 
 // Options tune an execution.
@@ -130,12 +114,11 @@ type Options struct {
 	// costs a single nil check per step. Applied faults are recorded in
 	// Result.Faults; crashed processes count as settled for termination.
 	Injector fault.Injector
-	// Scratch, when non-nil, backs the run with reusable buffers; see the
-	// Scratch ownership contract. Nil runs with fresh buffers.
+	// Scratch, when non-nil, backs the run with reusable buffers. Nil runs
+	// on a pooled scratch.
 	Scratch *Scratch
-	// ExpectedSteps pre-sizes the trace (and the event queue) when the
-	// scratch has no warm capacity yet. Zero means no pre-sizing. It is a
-	// hint only: runs may exceed it freely.
+	// ExpectedSteps pre-sizes the trace of a run that records one. Zero
+	// means no pre-sizing. It is a hint only: runs may exceed it freely.
 	ExpectedSteps int
 	// WindowHint is the timing model's maximum scheduling increment
 	// (timing.Model.MaxIncrement); the calendar queue sizes its bucket
@@ -200,44 +183,18 @@ func Run(sys *System, sched Scheduler, opts Options) (*Result, error) {
 // millisecond without an atomic load on the hot path of every step.
 const ctxCheckInterval = 1024
 
-// prepare resets the scratch for a run over np processes, pre-sizing fresh
-// buffers from the hint when no warm capacity exists yet.
+// prepare resets the scratch for a run over np processes.
 func (sc *Scratch) prepare(sys *System, opts *Options) error {
 	np := len(sys.Procs)
-	expectedSteps := opts.ExpectedSteps
-	injected := opts.Injector != nil
 	sc.queue.Reset()
 	sc.queue.Reserve(np)
 	if opts.WindowHint > 0 {
 		sc.queue.SetWindow(opts.WindowHint)
 	}
-	if sc.lastSteps > 0 {
-		// Observed size beats the caller's worst-case hint: short-lived
-		// runs would otherwise pay a multi-kilobyte zeroed allocation for
-		// a few dozen steps. The slack absorbs seed-to-seed variation;
-		// append growth covers any remainder.
-		expectedSteps = sc.lastSteps + sc.lastSteps/8 + 8
-	}
-	if opts.DiscardSteps {
-		// Nothing is appended to the step or access buffers; pre-sizing
-		// them would be the very O(steps) allocation streaming avoids.
-		expectedSteps = 0
-	}
-	if sc.steps == nil && expectedSteps > 0 {
-		sc.steps = make([]model.Step, 0, expectedSteps)
-	}
-	sc.steps = sc.steps[:0]
-	sc.accesses.Reset()
-	sc.accesses.Reserve(expectedSteps) // one access record per step
-
-	sc.idleAt = arena.Resize(sc.idleAt, np)
-	sc.crashed = arena.Resize(sc.crashed, np)
 	sc.probes = arena.Resize(sc.probes, np)
 	sc.portIdx = arena.Resize(sc.portIdx, np)
 	sc.portVar = arena.Resize(sc.portVar, np)
 	for i := 0; i < np; i++ {
-		sc.idleAt[i] = -1
-		sc.crashed[i] = false
 		sc.probes[i] = 0
 		sc.portIdx[i] = -1
 		sc.portVar[i] = 0
@@ -291,7 +248,7 @@ func (sc *Scratch) prepare(sys *System, opts *Options) error {
 	if len(bad) > 0 {
 		return fmt.Errorf("sm: initial variable %d outside declared range [0, %d)", slices.Min(bad), sys.NumVars)
 	}
-	if injected {
+	if opts.Injector != nil {
 		if sc.prevVals == nil {
 			sc.prevVals = make(map[model.VarID]Value)
 		} else {
@@ -362,22 +319,9 @@ func (sc *Scratch) admit(s *varSlot, v model.VarID, p int32) int {
 
 // scratchPool recycles scratches for scratch-free runs, so the event queue,
 // port tables and bookkeeping maps keep their warm capacity even when the
-// caller did not supply a Scratch. Only buffers the Result never aliases
-// stay attached; release detaches the rest, so a handed-out Result is never
-// mutated by a later pooled run. Reuse is invisible to determinism: warm
+// caller did not supply a Scratch. Reuse is invisible to determinism: warm
 // capacity changes where values live, never what they are.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
-
-// release detaches every buffer a Result may alias (trace steps, the access
-// arena, IdleAt, Crashed) and returns the scratch to the pool.
-func (sc *Scratch) release() {
-	sc.lastSteps = len(sc.steps)
-	sc.steps = nil
-	sc.accesses = arena.Chunked[model.VarAccess]{}
-	sc.idleAt = nil
-	sc.crashed = nil
-	scratchPool.Put(sc)
-}
 
 // portOf resolves the port index of a step of proc p on variable target, or
 // model.NoPort.
@@ -417,7 +361,7 @@ func RunContext(ctx context.Context, sys *System, sched Scheduler, opts Options)
 		sc = scratchPool.Get().(*Scratch)
 		// Registered before the batch save-back below so it runs after it:
 		// the scratch must be fully quiescent before re-entering the pool.
-		defer sc.release()
+		defer scratchPool.Put(sc)
 	}
 	if err := sc.prepare(sys, &opts); err != nil {
 		return nil, err
@@ -425,12 +369,19 @@ func RunContext(ctx context.Context, sys *System, sched Scheduler, opts Options)
 
 	res := &Result{
 		Trace:   &model.Trace{NumProcs: len(sys.Procs), NumPorts: len(sys.Ports)},
-		IdleAt:  sc.idleAt,
-		Crashed: sc.crashed,
+		IdleAt:  make([]sim.Time, len(sys.Procs)),
+		Crashed: make([]bool, len(sys.Procs)),
 	}
-	// finish publishes the recorded steps into the trace; called at every
-	// exit that hands res to the caller (appends may have moved sc.steps).
-	finish := func() { res.Trace.Steps = sc.steps }
+	for p := range res.IdleAt {
+		res.IdleAt[p] = -1
+	}
+	// The recorded steps point their access records into an arena the run
+	// owns, so a handed-out trace is never touched by a later run.
+	var accesses arena.Chunked[model.VarAccess]
+	if !opts.DiscardSteps && opts.ExpectedSteps > 0 {
+		res.Trace.Steps = make([]model.Step, 0, opts.ExpectedSteps)
+		accesses.Reserve(opts.ExpectedSteps) // one access record per step
+	}
 
 	q := &sc.queue
 	for p := range sys.Procs {
@@ -476,7 +427,6 @@ dispatch:
 				// Partial result: under fault injection non-termination is a
 				// degraded outcome to audit, not an invariant failure, so the
 				// trace so far rides along with the error.
-				finish()
 				return res, fmt.Errorf("%w (cap %d)", ErrNoTermination, maxSteps)
 			}
 			steps++
@@ -579,8 +529,8 @@ dispatch:
 			}
 			recorded++
 			if !opts.DiscardSteps {
-				st.Accesses = sc.accesses.One(model.VarAccess{Var: target, Old: observed, New: newVal})
-				sc.steps = append(sc.steps, st)
+				st.Accesses = accesses.One(model.VarAccess{Var: target, Old: observed, New: newVal})
+				res.Trace.Steps = append(res.Trace.Steps, st)
 			}
 			if opts.Observer != nil {
 				opts.Observer.ObserveStep(st)
@@ -632,7 +582,6 @@ dispatch:
 			q.Push(sim.Event{At: ev.At.Add(sched.Gap(p)), Kind: sim.KindStep, Proc: p})
 		}
 	}
-	finish()
 
 	if idleCount+crashedLive != len(sys.Procs) {
 		return nil, fmt.Errorf("sm: executor drained queue with %d/%d processes idle",
@@ -640,7 +589,7 @@ dispatch:
 	}
 
 	for _, pb := range sys.Ports {
-		if pb.Proc >= 0 && pb.Proc < len(sc.idleAt) {
+		if pb.Proc >= 0 && pb.Proc < len(res.IdleAt) {
 			res.Finish = sim.MaxTime(res.Finish, res.IdleAt[pb.Proc])
 		}
 	}

@@ -34,8 +34,8 @@ func (s constGap) Gap(int) sim.Duration { return s.gap }
 
 // TestRunSteadyStateAllocs pins the executor's per-step allocation budget:
 // with a warmed Scratch, a full run costs at most one allocation per
-// recorded step (amortized — the budget covers the Result/Trace headers and
-// leaves the per-step hot path itself allocation-free).
+// recorded step (amortized — the budget covers the Result and the trace it
+// owns, and leaves the per-step hot path itself allocation-free).
 func TestRunSteadyStateAllocs(t *testing.T) {
 	const procs = 8
 	build := func() *sm.System {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sessionproblem/internal/fault"
+	"sessionproblem/internal/model"
 	"sessionproblem/internal/sim"
 	"sessionproblem/internal/timing"
 )
@@ -170,5 +172,51 @@ func TestRunContextAlreadyExpired(t *testing.T) {
 	}
 	if res != nil {
 		t.Fatal("expired context still produced a result")
+	}
+}
+
+// TestResultOwnsItsSlices pins that a Scratch holds capacity only: a traced
+// Result taken from a run on a scratch keeps its steps with their access
+// records, IdleAt and Crashed through later runs of another system on the
+// same scratch.
+func TestResultOwnsItsSlices(t *testing.T) {
+	m := timing.NewSynchronous(1, 0)
+	var sc Scratch
+	// Process 1 crashes permanently at its first step; process 0 counts to 4.
+	inj := script{stepFn: onceAt(1, fault.StepEffect{Kind: fault.Crash})}
+	res, err := Run(twoCounterSystem(4), m.NewScheduler(timing.Slow, 1), Options{Injector: inj, Scratch: &sc})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !res.Crashed[1] || res.IdleAt[0] < 0 {
+		t.Fatalf("first run: Crashed %v, IdleAt %v; want process 1 crashed and process 0 idle", res.Crashed, res.IdleAt)
+	}
+	steps := slices.Clone(res.Trace.Steps)
+	for i := range steps {
+		steps[i].Accesses = slices.Clone(steps[i].Accesses)
+	}
+	idleAt, crashed := slices.Clone(res.IdleAt), slices.Clone(res.Crashed)
+
+	for round := 0; round < 3; round++ {
+		sys := &System{B: 2}
+		for p := 0; p < 3; p++ {
+			v := model.VarID(5 + p)
+			sys.Procs = append(sys.Procs, &counter{v: v, left: 6 + round})
+			sys.Ports = append(sys.Ports, PortBinding{Var: v, Proc: p})
+		}
+		if _, err := Run(sys, timing.NewSynchronous(2, 0).NewScheduler(timing.Slow, 1), Options{Scratch: &sc}); err != nil {
+			t.Fatalf("later run %d: %v", round, err)
+		}
+	}
+	if len(res.Trace.Steps) != len(steps) {
+		t.Fatalf("trace length changed by a later run: %d, was %d", len(res.Trace.Steps), len(steps))
+	}
+	for i := range steps {
+		if !reflect.DeepEqual(res.Trace.Steps[i], steps[i]) {
+			t.Fatalf("step %d changed by a later run: %+v, was %+v", i, res.Trace.Steps[i], steps[i])
+		}
+	}
+	if !slices.Equal(res.IdleAt, idleAt) || !slices.Equal(res.Crashed, crashed) {
+		t.Errorf("IdleAt %v and Crashed %v changed by a later run: were %v and %v", res.IdleAt, res.Crashed, idleAt, crashed)
 	}
 }

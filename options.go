@@ -460,7 +460,7 @@ func WithPerKindMargins() Option {
 // across API calls: a run is keyed by everything that determines it (spec,
 // timing constants, algorithm, strategy, seed, fault plan, step cap), so two
 // calls whose matrices overlap simulate each unique run once. Cached entries
-// are immutable summaries — hits never alias a live trace — and results are
+// are immutable summaries, never a live report, and results are
 // byte-identical with and without a cache. Safe for concurrent use.
 type RunCache = engine.RunCache
 
