@@ -53,7 +53,6 @@ func run(args []string) error {
 		return err
 	}
 	defer closeJournal()
-	seeds, parallelism := &e.Seeds, &e.Parallelism
 	want := func(name string) bool { return *exp == "all" || *exp == name }
 	ran := false
 
@@ -62,7 +61,7 @@ func run(args []string) error {
 		pts, err := harness.Sweep(ctx, harness.SweepSpec{
 			Kind: harness.SweepKindSporadicDelay,
 			S:    6, N: 4, C1: 2, D2: 40,
-			Steps: 9, Seeds: *seeds, Parallelism: *parallelism,
+			Steps: 9, Seeds: e.Seeds,
 			Engine: eng, NoSeedBatch: !e.SeedBatching,
 		})
 		if err != nil {
@@ -81,7 +80,7 @@ func run(args []string) error {
 		pts, err := harness.Sweep(ctx, harness.SweepSpec{
 			Kind: harness.SweepKindPeriodicVsSemiSync,
 			N:    4, C1: 2, C2: 10, D2: 30,
-			MaxS: 10, Seeds: *seeds, Parallelism: *parallelism,
+			MaxS: 10, Seeds: e.Seeds,
 			Engine: eng, NoSeedBatch: !e.SeedBatching,
 		})
 		if err != nil {
@@ -101,7 +100,7 @@ func run(args []string) error {
 		pts, err := harness.Sweep(ctx, harness.SweepSpec{
 			Kind: harness.SweepKindPeriodicVsSporadic,
 			S:    5, N: 3, C1: 2, D1: 4, D2: 28,
-			Cmaxs: cmaxs, Seeds: *seeds, Parallelism: *parallelism,
+			Cmaxs: cmaxs, Seeds: e.Seeds,
 			Engine: eng, NoSeedBatch: !e.SeedBatching,
 		})
 		if err != nil {
@@ -118,8 +117,7 @@ func run(args []string) error {
 	if want("f4") {
 		ran = true
 		cfg := harness.Default()
-		cfg.Seeds = *seeds
-		cfg.Parallelism = *parallelism
+		cfg.Seeds = e.Seeds
 		cfg.Engine = eng
 		cfg.NoSeedBatch = !e.SeedBatching
 		rows, err := harness.HierarchyCtx(ctx, cfg)
@@ -133,7 +131,7 @@ func run(args []string) error {
 	}
 	if want("f5") {
 		ran = true
-		pts, err := harness.SweepDiameter(ctx, 3, 8, 3, 10, *seeds, e.Topologies()...)
+		pts, err := harness.SweepDiameter(ctx, 3, 8, 3, 10, e.Seeds, e.Topologies()...)
 		if err != nil {
 			return err
 		}
@@ -149,7 +147,12 @@ func run(args []string) error {
 	}
 	if want("f6") {
 		ran = true
-		pts, err := harness.SweepSporadicVsSemiSync(5, 3, 2, 10, 28, 8, *seeds)
+		pts, err := harness.Sweep(ctx, harness.SweepSpec{
+			Kind: harness.SweepKindSporadicVsSemiSync,
+			S:    5, N: 3, C1: 2, C2: 10, D2: 28,
+			Steps: 8, Seeds: e.Seeds,
+			Engine: eng, NoSeedBatch: !e.SeedBatching,
+		})
 		if err != nil {
 			return err
 		}
@@ -158,10 +161,10 @@ func run(args []string) error {
 		fmt.Println("u=d2-d1  semi-sync  sporadic  winner")
 		for _, p := range pts {
 			winner := "semi-sync"
-			if p.SporadicWins {
+			if p.Measured < p.PaperUpper {
 				winner = "sporadic"
 			}
-			fmt.Printf("%-8v %-10.0f %-9.0f %s\n", p.U, p.SemiSync, p.Sporadic, winner)
+			fmt.Printf("%-8v %-10.0f %-9.0f %s\n", sim.Duration(p.X), p.PaperUpper, p.Measured, winner)
 		}
 		fmt.Println("  paper: \"rather unclear and requires further study\" — the winner flips with u")
 		fmt.Println()

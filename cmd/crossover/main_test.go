@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"path/filepath"
 	"testing"
 
@@ -36,9 +38,23 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunF6 runs F6 at one seed on the tool's engine: the journal holds one
+// frame per (group, strategy) pair, the semi-synchronous baseline once plus
+// eight sporadic points, times 5 strategies. An expired -timeout fails it.
 func TestRunF6(t *testing.T) {
-	if err := run([]string{"-exp", "f6", "-seeds", "1"}); err != nil {
+	path := filepath.Join(t.TempDir(), "f6.journal")
+	if err := run([]string{"-exp", "f6", "-seeds", "1", "-journal", path}); err != nil {
 		t.Fatalf("run f6: %v", err)
+	}
+	st, err := journal.Scan(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Frames != 45 {
+		t.Errorf("f6 at one seed journaled %d frames, want 45", st.Frames)
+	}
+	if err := run([]string{"-exp", "f6", "-seeds", "1", "-timeout", "1ns"}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("f6 with an expired -timeout: err = %v, want the deadline", err)
 	}
 }
 

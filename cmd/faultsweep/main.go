@@ -97,7 +97,6 @@ func run(args []string, w io.Writer) error {
 		MaxSteps:    *maxSteps,
 		Models:      splitCSV(*models),
 		PerKind:     *perKind,
-		Parallelism: e.Parallelism,
 		Engine:      eng,
 		NoSeedBatch: !e.SeedBatching,
 	}

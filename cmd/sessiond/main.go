@@ -474,6 +474,10 @@ func decodeRequest(w http.ResponseWriter, r *http.Request) (request, error) {
 	if err := dec.Decode(&rq); err != nil {
 		return rq, badRequestf("decoding request: %v", err)
 	}
+	// The body is one JSON value: only whitespace may follow it.
+	if _, err := dec.Token(); err != io.EOF {
+		return rq, badRequestf("decoding request: trailing data after the request object")
+	}
 	return rq, nil
 }
 

@@ -275,6 +275,11 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/sweep", `{"kind":"sporadic-delay","seeds":-1}`, http.StatusUnprocessableEntity},
 		{"/v1/table1", `{"s":2,"n":2,"b":1}`, http.StatusUnprocessableEntity},
 		{"/v1/table1", `{"s":2,"n":0}`, http.StatusUnprocessableEntity},
+		// One JSON object per body: anything but whitespace after it is
+		// rejected before any run starts.
+		{"/v1/table1", `{"s":2,"n":2,"seeds":1}garbage`, http.StatusBadRequest},
+		{"/v1/table1", `{"s":2}]`, http.StatusBadRequest},
+		{"/v1/solve", `{"s":2} {"s":3}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		status, data := post(t, ts, tc.path, tc.body)

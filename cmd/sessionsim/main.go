@@ -15,8 +15,9 @@
 // -json emits the report as a versioned wire envelope (package wire), byte
 // for byte identical to the sessiond daemon's POST /v1/solve response for
 // the same parameters. The trace flags (-trace, -timeline, -trace-json)
-// print the timed computation itself and run the simulator directly; the
-// report paths go through the public API and its run cache.
+// print the timed computation itself and run the simulator directly on the
+// Table-1 cell Solve runs (internal/alg/registry); the report paths go
+// through the public API and its run cache.
 package main
 
 import (
@@ -24,13 +25,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"sessionproblem"
-	"sessionproblem/internal/alg/async"
-	"sessionproblem/internal/alg/periodic"
-	"sessionproblem/internal/alg/semisync"
-	"sessionproblem/internal/alg/sporadic"
-	"sessionproblem/internal/alg/synchronous"
+	"sessionproblem/internal/alg/registry"
+	"sessionproblem/internal/bounds"
 	"sessionproblem/internal/cmdflags"
 	"sessionproblem/internal/core"
 	"sessionproblem/internal/sim"
@@ -46,13 +45,21 @@ func main() {
 	}
 }
 
-// models maps -alg names to the facade model identifiers.
-var models = map[string]sessionproblem.Model{
-	"synchronous": sessionproblem.Synchronous,
-	"periodic":    sessionproblem.Periodic,
-	"semisync":    sessionproblem.SemiSynchronous,
-	"sporadic":    sessionproblem.Sporadic,
-	"async":       sessionproblem.Asynchronous,
+// cell resolves -alg and -comm to their Table-1 cell. The -alg names are
+// the facade's model names.
+func cell(alg, comm string) (registry.Cell, error) {
+	if comm != "sm" && comm != "mp" {
+		return registry.Cell{}, fmt.Errorf("unknown communication model %q (want sm or mp)", comm)
+	}
+	c, ok := registry.Find(alg, strings.ToUpper(comm))
+	switch {
+	case ok:
+		return c, nil
+	case alg == "sporadic":
+		return c, fmt.Errorf("the sporadic SM model equals the asynchronous SM model; use -alg async")
+	default:
+		return c, fmt.Errorf("unknown algorithm %q (want synchronous, periodic, semisync, sporadic or async)", alg)
+	}
 }
 
 func run(args []string) error {
@@ -71,29 +78,21 @@ func run(args []string) error {
 		return err
 	}
 
+	c, err := cell(*algName, *comm)
+	if err != nil {
+		return err
+	}
 	if *showTrace || *showTimeline || *traceJSON {
 		if *jsonOut {
 			return fmt.Errorf("-json cannot combine with the trace flags; use -trace-json for the trace")
 		}
-		return runWithTrace(p, e, *algName, *comm, *strategyName, *seed, *showTrace, *showTimeline, *traceJSON)
+		return runWithTrace(p, e, c, *strategyName, *seed, *showTrace, *showTimeline, *traceJSON)
 	}
 
-	m, ok := models[*algName]
-	if !ok {
-		return fmt.Errorf("unknown algorithm %q (want synchronous, periodic, semisync, sporadic or async)", *algName)
-	}
-	var cm sessionproblem.Comm
-	switch *comm {
-	case "sm":
-		cm = sessionproblem.SharedMemory
-	case "mp":
-		cm = sessionproblem.MessagePassing
-	default:
-		return fmt.Errorf("unknown communication model %q (want sm or mp)", *comm)
-	}
 	opts := append(cmdflags.Options(p, e),
 		sessionproblem.WithSchedule(*strategyName, *seed))
-	rep, err := sessionproblem.Solve(context.Background(), m, cm, opts...)
+	rep, err := sessionproblem.Solve(context.Background(),
+		sessionproblem.Model(*algName), sessionproblem.Comm(*comm), opts...)
 	if err != nil {
 		return err
 	}
@@ -123,40 +122,26 @@ func run(args []string) error {
 
 // runWithTrace runs the simulator directly — the report paths go through
 // the public API, but the API (rightly) does not expose the full timed
-// computation, so the trace flags keep the direct path.
-func runWithTrace(p *cmdflags.Problem, e *cmdflags.Exec, algName, comm, strategyName string, seed uint64, showTrace, showTimeline, traceJSON bool) error {
+// computation, so the trace flags keep the direct path. It runs the cell's
+// algorithm under the timing model Solve builds from the same flags.
+func runWithTrace(p *cmdflags.Problem, e *cmdflags.Exec, c registry.Cell, strategyName string, seed uint64, showTrace, showTimeline, traceJSON bool) error {
 	st, err := parseStrategy(strategyName)
 	if err != nil {
 		return err
 	}
 	ctx, cancel := e.Context(context.Background())
 	defer cancel()
-	spec := core.Spec{S: p.S, N: p.N, B: p.B}
-	dc1, dc2 := sim.Duration(p.C1), sim.Duration(p.C2)
-	dd1, dd2 := sim.Duration(p.D1), sim.Duration(p.D2)
-
+	c1, c2 := sim.Duration(p.C1), sim.Duration(p.C2)
+	m := c.Timing(bounds.Params{C1: c1, C2: c2, Cmin: c1, Cmax: c2, D1: sim.Duration(p.D1), D2: sim.Duration(p.D2)}, 0)
+	spec := c.Spec(p.S, p.N, p.B)
 	var rep *core.Report
-	switch comm {
-	case "sm":
-		alg, m, err := smAlgorithm(algName, dc1, dc2)
-		if err != nil {
-			return err
-		}
-		rep, err = core.RunSMContext(ctx, alg, spec, m, st, seed)
-		if err != nil {
-			return err
-		}
-	case "mp":
-		alg, m, err := mpAlgorithm(algName, dc1, dc2, dd1, dd2)
-		if err != nil {
-			return err
-		}
-		rep, err = core.RunMPContext(ctx, alg, spec, m, st, seed)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown communication model %q (want sm or mp)", comm)
+	if c.SM != nil {
+		rep, err = core.RunSMContext(ctx, c.SM, spec, m, st, seed)
+	} else {
+		rep, err = core.RunMPContext(ctx, c.MP, spec, m, st, seed)
+	}
+	if err != nil {
+		return err
 	}
 
 	if traceJSON {
@@ -183,38 +168,4 @@ func parseStrategy(name string) (timing.Strategy, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown strategy %q", name)
-}
-
-func smAlgorithm(name string, c1, c2 sim.Duration) (core.SMAlgorithm, timing.Model, error) {
-	switch name {
-	case "synchronous":
-		return synchronous.NewSM(), timing.NewSynchronous(c2, 0), nil
-	case "periodic":
-		return periodic.NewSM(), timing.NewPeriodic(c1, c2, 0), nil
-	case "semisync":
-		return semisync.NewSM(semisync.Auto), timing.NewSemiSynchronous(c1, c2, 0), nil
-	case "async":
-		return async.NewSM(), timing.NewAsynchronousSM(0), nil
-	case "sporadic":
-		return nil, timing.Model{}, fmt.Errorf("the sporadic SM model equals the asynchronous SM model; use -alg async")
-	default:
-		return nil, timing.Model{}, fmt.Errorf("unknown SM algorithm %q", name)
-	}
-}
-
-func mpAlgorithm(name string, c1, c2, d1, d2 sim.Duration) (core.MPAlgorithm, timing.Model, error) {
-	switch name {
-	case "synchronous":
-		return synchronous.NewMP(), timing.NewSynchronous(c2, d2), nil
-	case "periodic":
-		return periodic.NewMP(), timing.NewPeriodic(c1, c2, d2), nil
-	case "semisync":
-		return semisync.NewMP(semisync.Auto), timing.NewSemiSynchronous(c1, c2, d2), nil
-	case "sporadic":
-		return sporadic.NewMP(), timing.NewSporadic(c1, d1, d2, 0), nil
-	case "async":
-		return async.NewMP(), timing.NewAsynchronousMP(c2, d2), nil
-	default:
-		return nil, timing.Model{}, fmt.Errorf("unknown MP algorithm %q", name)
-	}
 }

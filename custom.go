@@ -1,12 +1,10 @@
 package sessionproblem
 
 import (
-	"fmt"
-
-	"sessionproblem/internal/bounds"
 	"sessionproblem/internal/check"
 	"sessionproblem/internal/core"
 	"sessionproblem/internal/fault"
+	"sessionproblem/internal/harness"
 	"sessionproblem/internal/model"
 	"sessionproblem/internal/sim"
 	"sessionproblem/internal/sm"
@@ -207,54 +205,18 @@ type Envelope struct {
 // (WithSpec, WithAccessBound, WithStepBounds, WithPeriodRange,
 // WithDelayBounds). The sporadic message-passing upper bound depends on γ,
 // the largest step time of a concrete computation — supply it with
-// WithGamma (Solve reports it as Report.Gamma).
+// WithGamma (Solve reports it as Report.Gamma). An instance the formulas
+// cannot evaluate is an error: s or n below 1, or b below 2 in a cell
+// whose formulas read it.
 func PaperEnvelope(m Model, comm Comm, opts ...Option) (Envelope, error) {
 	cfg := newSettings(opts)
-	p := bounds.Params{
-		S: cfg.s, N: cfg.n, B: cfg.b,
-		C1: cfg.c1, C2: cfg.c2,
-		Cmin: cfg.cmin, Cmax: cfg.cmax,
-		D1: cfg.d1, D2: cfg.d2,
-		Gamma: cfg.gamma,
+	c, err := tableCell(m, comm)
+	if err != nil {
+		return Envelope{}, err
 	}
-	mp := comm == MessagePassing
-	if !mp && comm != SharedMemory {
-		return Envelope{}, fmt.Errorf("sessionproblem: unknown communication model %q (want sm or mp)", comm)
+	if err := harness.CheckSpec(cfg.s, cfg.n, cfg.b, c.ReadsB); err != nil {
+		return Envelope{}, err
 	}
-	e := Envelope{Unit: "time"}
-	switch m {
-	case Synchronous:
-		if mp {
-			e.Lower, e.Upper = bounds.SyncMP(p)
-		} else {
-			e.Lower, e.Upper = bounds.SyncSM(p)
-		}
-	case Periodic:
-		if mp {
-			e.Lower, e.Upper = bounds.PeriodicMPL(p), bounds.PeriodicMPU(p)
-		} else {
-			e.Lower, e.Upper = bounds.PeriodicSML(p), bounds.PeriodicSMU(p)
-		}
-	case SemiSynchronous:
-		if mp {
-			e.Lower, e.Upper = bounds.SemiSyncMPL(p), bounds.SemiSyncMPU(p)
-		} else {
-			e.Lower, e.Upper = bounds.SemiSyncSML(p), bounds.SemiSyncSMU(p)
-		}
-	case Sporadic:
-		if !mp {
-			return Envelope{}, fmt.Errorf("sessionproblem: the sporadic SM model equals the asynchronous SM model; use Asynchronous")
-		}
-		e.Lower, e.Upper = bounds.SporadicMPL(p), bounds.SporadicMPU(p)
-	case Asynchronous:
-		if mp {
-			e.Lower, e.Upper = bounds.AsyncMPL(p), bounds.AsyncMPU(p)
-		} else {
-			e.Lower, e.Upper = bounds.AsyncSML(p), bounds.AsyncSMU(p)
-			e.Unit = "rounds"
-		}
-	default:
-		return Envelope{}, fmt.Errorf("sessionproblem: unknown model %q", m)
-	}
-	return e, nil
+	lower, upper := c.Bounds(cfg.params())
+	return Envelope{Lower: lower, Upper: upper, Unit: c.Unit}, nil
 }

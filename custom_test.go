@@ -184,6 +184,47 @@ func TestPaperEnvelopeMatchesKnownCells(t *testing.T) {
 	}
 }
 
+// TestPaperEnvelopeSpecErrors: an instance the formulas cannot evaluate is
+// an error with the harness's wording, and b is checked only in the cells
+// whose formulas read it.
+func TestPaperEnvelopeSpecErrors(t *testing.T) {
+	cases := []struct {
+		m       sessionproblem.Model
+		comm    sessionproblem.Comm
+		opts    []sessionproblem.Option
+		wantErr string
+	}{
+		{sessionproblem.Periodic, sessionproblem.SharedMemory, []sessionproblem.Option{sessionproblem.WithAccessBound(0)}, "b must be >= 2, got 0"},
+		{sessionproblem.Periodic, sessionproblem.SharedMemory, []sessionproblem.Option{sessionproblem.WithAccessBound(1)}, "b must be >= 2, got 1"},
+		{sessionproblem.SemiSynchronous, sessionproblem.SharedMemory, []sessionproblem.Option{sessionproblem.WithAccessBound(0)}, "b must be >= 2, got 0"},
+		{sessionproblem.SemiSynchronous, sessionproblem.SharedMemory, []sessionproblem.Option{sessionproblem.WithAccessBound(1)}, "b must be >= 2, got 1"},
+		{sessionproblem.Asynchronous, sessionproblem.SharedMemory, []sessionproblem.Option{sessionproblem.WithAccessBound(0)}, "b must be >= 2, got 0"},
+		{sessionproblem.Asynchronous, sessionproblem.SharedMemory, []sessionproblem.Option{sessionproblem.WithAccessBound(1)}, "b must be >= 2, got 1"},
+		{sessionproblem.Asynchronous, sessionproblem.SharedMemory, []sessionproblem.Option{sessionproblem.WithSpec(2, 0)}, "n must be >= 1, got 0"},
+		{sessionproblem.Periodic, sessionproblem.MessagePassing, []sessionproblem.Option{sessionproblem.WithSpec(0, 3)}, "s must be >= 1, got 0"},
+		// The synchronous SM formulas do not read b.
+		{sessionproblem.Synchronous, sessionproblem.SharedMemory, []sessionproblem.Option{sessionproblem.WithAccessBound(0)}, ""},
+		{sessionproblem.Periodic, sessionproblem.MessagePassing, []sessionproblem.Option{sessionproblem.WithAccessBound(1)}, ""},
+	}
+	for _, tc := range cases {
+		env, err := sessionproblem.PaperEnvelope(tc.m, tc.comm, tc.opts...)
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s/%s: %v", tc.m, tc.comm, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s/%s: envelope %+v, err %v; want %q", tc.m, tc.comm, env, err, tc.wantErr)
+		}
+	}
+	env, err := sessionproblem.PaperEnvelope(sessionproblem.Synchronous, sessionproblem.SharedMemory,
+		sessionproblem.WithAccessBound(0))
+	if want := (sessionproblem.Envelope{Lower: 60, Upper: 60, Unit: "time"}); err != nil || env != want {
+		t.Errorf("synchronous SM at b=0: %+v, %v; want %+v", env, err, want)
+	}
+}
+
 func TestPaperEnvelopeRejectsSporadicSM(t *testing.T) {
 	_, err := sessionproblem.PaperEnvelope(sessionproblem.Sporadic, sessionproblem.SharedMemory)
 	if err == nil || !strings.Contains(err.Error(), "Asynchronous") {

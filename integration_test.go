@@ -21,7 +21,7 @@ import (
 func TestHeadlineTable1Reproduction(t *testing.T) {
 	cfg := harness.Default()
 	cfg.Seeds = 2
-	cells, err := harness.Table1(cfg)
+	cells, err := harness.Table1Ctx(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Table1: %v", err)
 	}

@@ -190,10 +190,11 @@ func (e *Exec) Context(parent context.Context) (context.Context, context.CancelF
 // absent) is first seeded from the journal's surviving frames and then
 // wrapped so every newly verified summary is appended; call the returned
 // closer when the run completes. Callers must run Journal.Preflight first.
+// The engine applies no deadline of its own: -timeout reaches the runs
+// through the context Context returns, which callers pass to every call.
 func (e *Exec) Engine(j *Journal) (*engine.Engine, func(), error) {
 	opts := []engine.Option{
 		engine.WithParallelism(e.Parallelism),
-		engine.WithTimeout(e.Timeout),
 		engine.WithWorkerState(func() any { return new(core.RunScratch) }),
 	}
 	var cache engine.RunCacher
@@ -229,7 +230,6 @@ func (p *Problem) HarnessConfig(e *Exec, eng *engine.Engine) harness.Config {
 	cfg.Cmin, cfg.Cmax = dur(p.C1), dur(p.C2)
 	cfg.D1, cfg.D2 = dur(p.D1), dur(p.D2)
 	cfg.Seeds = e.Seeds
-	cfg.Parallelism = e.Parallelism
 	cfg.Engine = eng
 	cfg.NoSeedBatch = !e.SeedBatching
 	return cfg

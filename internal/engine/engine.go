@@ -4,11 +4,12 @@
 // every result in the slot of the task that produced it, so aggregation is
 // byte-for-byte identical at any parallelism level.
 //
-// The engine owns the concerns the serial harness never had: context
-// cancellation and timeouts (threaded through core.RunSM/RunMP into the
-// executors), fail-fast versus collect-all error policies, and per-run
+// The engine owns the concerns the serial harness never had: cancellation
+// (the caller's context, threaded through core.RunSM/RunMP into the
+// executors, plus a fail-fast abort on the first task error) and per-run
 // observability (wall time, worker id, and the simulator's own step, session
 // and message counts) aggregated into an engine-level Stats snapshot.
+// Deadlines are the caller's: bound the context passed to Execute.
 package engine
 
 import (
@@ -87,19 +88,6 @@ type Result struct {
 // earlier failure aborted a fail-fast execution.
 var ErrSkipped = errors.New("engine: task skipped after fail-fast abort")
 
-// ErrorPolicy selects how Execute reacts to task errors.
-type ErrorPolicy int
-
-const (
-	// FailFast cancels the remaining tasks on the first error and returns
-	// it. The default.
-	FailFast ErrorPolicy = iota
-	// CollectAll runs every task regardless of failures; Execute returns
-	// the lowest-index error (deterministic) and the caller inspects the
-	// per-slot errors.
-	CollectAll
-)
-
 // Observer receives every completed run, in completion order (which is
 // nondeterministic under parallelism — aggregate by Result.Index for
 // deterministic views).
@@ -138,16 +126,6 @@ func WithParallelism(n int) Option {
 	return func(e *Engine) { e.parallelism = n }
 }
 
-// WithErrorPolicy selects fail-fast (default) or collect-all.
-func WithErrorPolicy(p ErrorPolicy) Option {
-	return func(e *Engine) { e.policy = p }
-}
-
-// WithTimeout bounds every Execute call; zero means no timeout.
-func WithTimeout(d time.Duration) Option {
-	return func(e *Engine) { e.timeout = d }
-}
-
 // WithObserver registers a per-run observer.
 func WithObserver(obs Observer) Option {
 	return func(e *Engine) { e.observer = obs }
@@ -179,8 +157,6 @@ func WorkerState(ctx context.Context) any {
 // Execute calls.
 type Engine struct {
 	parallelism int
-	policy      ErrorPolicy
-	timeout     time.Duration
 	observer    Observer
 	workerState func() any
 	cache       RunCacher
@@ -189,8 +165,7 @@ type Engine struct {
 	stats Stats
 }
 
-// New builds an engine. Without options it runs GOMAXPROCS workers with
-// fail-fast error handling and no timeout.
+// New builds an engine. Without options it runs GOMAXPROCS workers.
 func New(opts ...Option) *Engine {
 	e := &Engine{}
 	for _, o := range opts {
@@ -216,17 +191,12 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Execute runs every task and returns the index-addressed results. Under
-// FailFast the first error cancels the rest and is returned; under
-// CollectAll every task runs and the lowest-index error is returned. The
-// results slice always has len(tasks) entries.
+// Execute runs every task and returns the index-addressed results. The
+// first task error cancels the tasks not yet started (fail-fast) and is
+// returned; so is the caller's ctx error when ctx ends first. The results
+// slice always has len(tasks) entries.
 func (e *Engine) Execute(ctx context.Context, tasks []Task) ([]Result, error) {
 	start := time.Now() //lint:allow nodeterm wall-clock accounting, never in results
-	if e.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.timeout)
-		defer cancel()
-	}
 	// A fail-fast abort must not cancel the caller's ctx, so wrap it.
 	runCtx, abort := context.WithCancel(ctx)
 	defer abort()
@@ -285,7 +255,7 @@ func (e *Engine) Execute(ctx context.Context, tasks []Task) ([]Result, error) {
 				if e.observer != nil {
 					e.observer(r)
 				}
-				if err != nil && e.policy == FailFast {
+				if err != nil {
 					abort()
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,9 +67,8 @@ func TestMapDeterminism(t *testing.T) {
 	}
 }
 
-// TestFailFastSkipsRemaining checks that under FailFast (the default), an
-// early error aborts the run: later tasks keep their ErrSkipped slots and
-// Execute returns the failure.
+// TestFailFastSkipsRemaining checks that an early error aborts the run:
+// later tasks keep their ErrSkipped slots and Execute returns the failure.
 func TestFailFastSkipsRemaining(t *testing.T) {
 	boom := errors.New("boom")
 	e := engine.New(engine.WithParallelism(1))
@@ -101,33 +101,31 @@ func TestFailFastSkipsRemaining(t *testing.T) {
 	}
 }
 
-// TestCollectAllRunsEverything checks that CollectAll executes every task
-// despite failures and reports the lowest-index error deterministically.
-func TestCollectAllRunsEverything(t *testing.T) {
-	err3 := errors.New("task 3 failed")
-	err5 := errors.New("task 5 failed")
-	e := engine.New(engine.WithParallelism(4), engine.WithErrorPolicy(engine.CollectAll))
-	var ran atomic.Int64
-	tasks := make([]engine.Task, 8)
+// TestFailFastReturnsLowestIndexError checks that when several tasks fail
+// before the abort lands, Execute returns the lowest-index failure, not the
+// first to finish: task 1 fails first, task 0 after it.
+func TestFailFastReturnsLowestIndexError(t *testing.T) {
+	e := engine.New(engine.WithParallelism(2))
+	errs := []error{errors.New("task 0 failed"), errors.New("task 1 failed")}
+	var started sync.WaitGroup
+	started.Add(2)
+	failed1 := make(chan struct{})
+	tasks := make([]engine.Task, 2)
 	for i := range tasks {
 		i := i
 		tasks[i] = engine.Task{Run: func(ctx context.Context) (any, error) {
-			ran.Add(1)
-			switch i {
-			case 3:
-				return nil, err3
-			case 5:
-				return nil, err5
+			started.Done()
+			started.Wait()
+			if i == 1 {
+				close(failed1)
+			} else {
+				<-failed1
 			}
-			return i, nil
+			return nil, errs[i]
 		}}
 	}
-	_, err := e.Execute(context.Background(), tasks)
-	if !errors.Is(err, err3) {
-		t.Fatalf("Execute error = %v, want lowest-index error (task 3)", err)
-	}
-	if got := ran.Load(); got != 8 {
-		t.Fatalf("ran %d tasks, want all 8 under CollectAll", got)
+	if _, err := e.Execute(context.Background(), tasks); !errors.Is(err, errs[0]) {
+		t.Fatalf("Execute error = %v, want the lowest-index failure (task 0)", err)
 	}
 }
 
@@ -194,10 +192,13 @@ func TestObserverSeesEveryRun(t *testing.T) {
 	}
 }
 
-// TestTimeoutCancelsTasks checks WithTimeout: slow tasks observe ctx
-// cancellation and Execute reports the deadline.
+// TestTimeoutCancelsTasks checks that a deadline on the caller's ctx
+// reaches the tasks: slow tasks observe the cancellation promptly and
+// Execute reports the deadline.
 func TestTimeoutCancelsTasks(t *testing.T) {
-	e := engine.New(engine.WithParallelism(2), engine.WithTimeout(20*time.Millisecond))
+	e := engine.New(engine.WithParallelism(2))
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
 	tasks := make([]engine.Task, 4)
 	for i := range tasks {
 		tasks[i] = engine.Task{Run: func(ctx context.Context) (any, error) {
@@ -212,7 +213,7 @@ func TestTimeoutCancelsTasks(t *testing.T) {
 	}
 	//lint:allow nodeterm measuring real cancellation latency is this test's purpose
 	start := time.Now()
-	_, err := e.Execute(context.Background(), tasks)
+	_, err := e.Execute(ctx, tasks)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Execute error = %v, want deadline exceeded", err)
 	}
@@ -228,7 +229,7 @@ func TestTable1Determinism(t *testing.T) {
 	render := func(par int) string {
 		cfg := harness.Default()
 		cfg.S, cfg.N, cfg.Seeds = 2, 2, 2
-		cfg.Parallelism = par
+		cfg.Engine = engine.New(engine.WithParallelism(par))
 		cells, err := harness.Table1Ctx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("Table1 at parallelism %d: %v", par, err)

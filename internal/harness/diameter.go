@@ -43,7 +43,7 @@ func SweepDiameter(ctx context.Context, s, n int, c2, hopDelay sim.Duration, see
 	if err := checkSeeds(seeds); err != nil {
 		return nil, err
 	}
-	if err := checkSpec(s, n, 0, false); err != nil {
+	if err := CheckSpec(s, n, 0, false); err != nil {
 		return nil, err
 	}
 	if len(families) == 0 {

@@ -43,14 +43,10 @@ type GridPoint struct {
 	Violations int
 }
 
-// Grid regenerates Table 1 at several (s, n) scales, keeping the timing
-// constants of the base configuration. It reports per-point bound
-// violations (expected: zero everywhere).
-func Grid(base Config, scales []struct{ S, N int }) ([]GridPoint, error) {
-	return GridCtx(context.Background(), base, scales)
-}
-
-// GridCtx is Grid with cancellation threaded into every cell's run matrix.
+// GridCtx regenerates Table 1 at several (s, n) scales, keeping the timing
+// constants of the base configuration, with cancellation threaded into
+// every cell's run matrix. It reports per-point bound violations
+// (expected: zero everywhere).
 func GridCtx(ctx context.Context, base Config, scales []struct{ S, N int }) ([]GridPoint, error) {
 	var out []GridPoint
 	for _, sc := range scales {

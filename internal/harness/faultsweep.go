@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"text/tabwriter"
 
+	"sessionproblem/internal/alg/registry"
+	"sessionproblem/internal/bounds"
 	"sessionproblem/internal/core"
 	"sessionproblem/internal/engine"
 	"sessionproblem/internal/fault"
@@ -40,8 +43,8 @@ type FaultSweepConfig struct {
 	// terminate). Default 200_000.
 	MaxSteps int
 
-	// Models selects a subset of the five MP model rows by name
-	// ("synchronous", "periodic", "semi-synchronous", "sporadic",
+	// Models selects a subset of the five message-passing cells by row
+	// label ("synchronous", "periodic", "semi-synchronous", "sporadic",
 	// "asynchronous"); empty means all five.
 	Models []string
 
@@ -52,10 +55,8 @@ type FaultSweepConfig struct {
 	// combined-fault results.
 	PerKind bool
 
-	// Parallelism is the worker-pool width; <= 0 means GOMAXPROCS.
-	Parallelism int
-	// Engine optionally supplies a shared execution engine, overriding
-	// Parallelism.
+	// Engine optionally supplies a shared execution engine; nil means a
+	// fresh one per call (see Config.Engine).
 	Engine *engine.Engine
 
 	// NoSeedBatch runs every (strategy, seed) run as its own engine task, a
@@ -108,13 +109,6 @@ func (c FaultSweepConfig) withDefaults() FaultSweepConfig {
 	return c
 }
 
-func (c FaultSweepConfig) engineOrNew() *engine.Engine {
-	if c.Engine != nil {
-		return c.Engine
-	}
-	return newEngine(c.Parallelism)
-}
-
 // FaultCell aggregates one (model, intensity) point of the sweep.
 type FaultCell struct {
 	// Intensity is the per-injection-point fault probability.
@@ -153,24 +147,21 @@ type FaultSweepRow struct {
 	KindMargins map[fault.Kind]float64
 }
 
-func faultSweepDefs(cfg FaultSweepConfig) ([]mpRowDef, error) {
-	all := mpRowDefs(cfg.C1, cfg.C2, cfg.Cmin, cfg.Cmax, cfg.D1, cfg.D2)
+// faultSweepCells returns the message-passing cells cfg.Models selects.
+func faultSweepCells(cfg FaultSweepConfig) ([]registry.Cell, error) {
+	all := registry.MPCells()
 	if len(cfg.Models) == 0 {
 		return all, nil
 	}
-	byName := make(map[string]mpRowDef, len(all))
-	for _, d := range all {
-		byName[d.name] = d
-	}
-	defs := make([]mpRowDef, 0, len(cfg.Models))
+	cells := make([]registry.Cell, 0, len(cfg.Models))
 	for _, name := range cfg.Models {
-		d, ok := byName[name]
-		if !ok {
+		i := slices.IndexFunc(all, func(c registry.Cell) bool { return c.Row == name })
+		if i < 0 {
 			return nil, fmt.Errorf("harness: unknown fault-sweep model %q", name)
 		}
-		defs = append(defs, d)
+		cells = append(cells, all[i])
 	}
-	return defs, nil
+	return cells, nil
 }
 
 // planSeed derives run i's fault-plan seed from the base seed: index-keyed,
@@ -186,15 +177,16 @@ func planSeed(base uint64, i int) uint64 {
 // any parallelism level.
 func FaultSweep(ctx context.Context, cfg FaultSweepConfig) ([]FaultSweepRow, error) {
 	cfg = cfg.withDefaults()
-	defs, err := faultSweepDefs(cfg)
+	cells, err := faultSweepCells(cfg)
 	if err != nil {
 		return nil, err
 	}
 	spec := core.Spec{S: cfg.S, N: cfg.N}
+	p := bounds.Params{C1: cfg.C1, C2: cfg.C2, Cmin: cfg.Cmin, Cmax: cfg.Cmax, D1: cfg.D1, D2: cfg.D2}
 	sts := timing.AllStrategies()
 	perCell := len(sts) * cfg.Seeds
 	perRow := len(cfg.Intensities) * perCell
-	total := len(defs) * perRow // runs per matrix copy
+	total := len(cells) * perRow // runs per matrix copy
 
 	// The per-kind sub-matrices occupy the flat indices from total on: one
 	// full copy of the base matrix per kind, restricted to that kind. Plan
@@ -205,26 +197,26 @@ func FaultSweep(ctx context.Context, cfg FaultSweepConfig) ([]FaultSweepRow, err
 	if len(kindAxis) == 0 {
 		kindAxis = fault.AllKinds()
 	}
-	groups := len(defs) * len(cfg.Intensities) * len(sts) // seed groups per matrix copy
+	groups := len(cells) * len(cfg.Intensities) * len(sts) // seed groups per matrix copy
 	copies := 1
 	if cfg.PerKind {
 		copies += len(kindAxis)
 	}
 
 	// decode maps seed group g — flat indices g*Seeds .. g*Seeds+Seeds-1 —
-	// to its (row, intensity, strategy) coordinates and injected kinds; name
-	// carries the kind of a per-kind group.
-	decode := func(g int) (d mpRowDef, name string, intensity float64, st timing.Strategy, kinds []fault.Kind) {
+	// to its (cell, intensity, strategy) coordinates and injected kinds;
+	// name carries the kind of a per-kind group.
+	decode := func(g int) (ci int, name string, intensity float64, st timing.Strategy, kinds []fault.Kind) {
 		kinds = cfg.Kinds
 		c := g / groups
 		g %= groups
-		d = defs[g/(len(cfg.Intensities)*len(sts))]
-		name = d.name
+		ci = g / (len(cfg.Intensities) * len(sts))
+		name = cells[ci].Row
 		if c > 0 {
 			kinds = kindAxis[c-1 : c]
-			name = fmt.Sprintf("%s/%v", d.name, kinds[0])
+			name = fmt.Sprintf("%s/%v", name, kinds[0])
 		}
-		return d, name, cfg.Intensities[g/len(sts)%len(cfg.Intensities)], sts[g%len(sts)], kinds
+		return ci, name, cfg.Intensities[g/len(sts)%len(cfg.Intensities)], sts[g%len(sts)], kinds
 	}
 
 	// runGroup executes the seeds of one (row, intensity, strategy[, kind])
@@ -235,19 +227,20 @@ func FaultSweep(ctx context.Context, cfg FaultSweepConfig) ([]FaultSweepRow, err
 	// seed each counts as a fallback. Cache keys and plan seeds depend only on
 	// the flat index, so outcomes are byte-identical in either layout.
 	runGroup := func(ctx context.Context, g int, seeds []uint64) (groupOutcome, error) {
-		d, _, intensity, st, kinds := decode(g)
+		ci, _, intensity, st, kinds := decode(g)
+		alg, m := cells[ci].MP, cells[ci].Timing(p, 0)
 		plan := func(seed uint64) fault.Plan {
-			return fault.NewPlan(planSeed(cfg.FaultSeed, g*cfg.Seeds+int(seed)-1), intensity, kinds...).ScaledTo(d.model)
+			return fault.NewPlan(planSeed(cfg.FaultSeed, g*cfg.Seeds+int(seed)-1), intensity, kinds...).ScaledTo(m)
 		}
 		faultRun := func(seed uint64) core.FaultRun {
 			return core.FaultRun{Injector: plan(seed).Injector(), MaxSteps: cfg.MaxSteps, Scratch: scratchFrom(ctx)}
 		}
 		key := func(seed uint64) string {
 			p := plan(seed)
-			return core.RunKey("MP", d.alg.Name(), spec, d.model, st, seed, cfg.MaxSteps, &p)
+			return core.RunKey("MP", alg.Name(), spec, m, st, seed, cfg.MaxSteps, &p)
 		}
 		wrap := func(_ uint64, err error) error {
-			return fmt.Errorf("fault sweep %s i=%.2f: %w", d.name, intensity, err)
+			return fmt.Errorf("fault sweep %s i=%.2f: %w", cells[ci].Row, intensity, err)
 		}
 		if intensity == 0 {
 			return cachedGroup(ctx, seeds, key, func(miss []uint64, _ bool) ([]runOutcome, []*core.RunSummary, core.BatchStats, error) {
@@ -255,7 +248,7 @@ func FaultSweep(ctx context.Context, cfg FaultSweepConfig) ([]FaultSweepRow, err
 				for j, seed := range miss {
 					frs[j] = faultRun(seed)
 				}
-				return summarized(core.BatchRunMPFaulted(ctx, d.alg, spec, d.model, st, miss, frs))
+				return summarized(core.BatchRunMPFaulted(ctx, alg, spec, m, st, miss, frs))
 			}, wrap)
 		}
 		return cachedGroup(ctx, seeds, key, func(miss []uint64, keep bool) ([]runOutcome, []*core.RunSummary, core.BatchStats, error) {
@@ -263,7 +256,7 @@ func FaultSweep(ctx context.Context, cfg FaultSweepConfig) ([]FaultSweepRow, err
 			outs := make([]runOutcome, len(miss))
 			sums := make([]*core.RunSummary, len(miss))
 			for j, seed := range miss {
-				rep, err := core.RunMPFaulted(ctx, d.alg, spec, d.model, st, seed, faultRun(seed))
+				rep, err := core.RunMPFaulted(ctx, alg, spec, m, st, seed, faultRun(seed))
 				if err != nil {
 					return nil, nil, stats, err
 				}
@@ -281,7 +274,7 @@ func FaultSweep(ctx context.Context, cfg FaultSweepConfig) ([]FaultSweepRow, err
 		}, wrap)
 	}
 
-	outs, err := runGroups(ctx, cfg.engineOrNew(), copies*groups, cfg.Seeds, cfg.NoSeedBatch,
+	outs, err := runGroups(ctx, engineOr(cfg.Engine), copies*groups, cfg.Seeds, cfg.NoSeedBatch,
 		func(g int) string {
 			_, name, intensity, st, _ := decode(g)
 			return fmt.Sprintf("fault %s i=%.2f %v", name, intensity, st)
@@ -291,9 +284,9 @@ func FaultSweep(ctx context.Context, cfg FaultSweepConfig) ([]FaultSweepRow, err
 		return nil, err
 	}
 
-	rows := make([]FaultSweepRow, len(defs))
-	for di, d := range defs {
-		row := FaultSweepRow{Model: d.name, Algorithm: d.alg.Name(), Margin: -1}
+	rows := make([]FaultSweepRow, len(cells))
+	for di, c := range cells {
+		row := FaultSweepRow{Model: c.Row, Algorithm: c.Algorithm(), Margin: -1}
 		for ii, intensity := range cfg.Intensities {
 			cell := FaultCell{Intensity: intensity, Runs: perCell, MinSessions: -1}
 			base := di*perRow + ii*perCell

@@ -59,7 +59,7 @@ func TestFaultSweepDeterministicAcrossParallelism(t *testing.T) {
 			S: 2, N: 2, Seeds: 2,
 			Intensities: []float64{0, 0.3},
 			MaxSteps:    20_000,
-			Parallelism: parallelism,
+			Engine:      engine.New(engine.WithParallelism(parallelism)),
 		})
 		if err != nil {
 			t.Fatalf("FaultSweep(parallelism=%d): %v", parallelism, err)

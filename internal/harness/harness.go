@@ -10,10 +10,15 @@
 // numbers are in simulator ticks; the reproduction target is the shape:
 // measured max within [L, U] for every row.
 //
+// The cells themselves — row labels, designated algorithms, timing models
+// and bound formulas — are internal/alg/registry's; Table 1, the hierarchy
+// and the fault sweep iterate them.
+//
 // All measurement entry points fan their run matrix across an
-// internal/engine worker pool: results are index-addressed, so the output
-// is byte-identical at any parallelism level, and context cancellation
-// reaches into every in-flight simulation.
+// internal/engine worker pool, the caller's or a fresh one: results are
+// index-addressed, so the output is byte-identical at any parallelism
+// level, and the caller's context reaches into every in-flight
+// simulation.
 package harness
 
 import (
@@ -23,11 +28,7 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"sessionproblem/internal/alg/async"
-	"sessionproblem/internal/alg/periodic"
-	"sessionproblem/internal/alg/semisync"
-	"sessionproblem/internal/alg/sporadic"
-	"sessionproblem/internal/alg/synchronous"
+	"sessionproblem/internal/alg/registry"
 	"sessionproblem/internal/bounds"
 	"sessionproblem/internal/core"
 	"sessionproblem/internal/engine"
@@ -49,13 +50,10 @@ type Config struct {
 
 	Seeds int // seeds per strategy (default 3)
 
-	// Parallelism is the worker-pool width for the run matrix; <= 0 means
-	// GOMAXPROCS. Results are deterministic at any setting.
-	Parallelism int
-
-	// Engine optionally supplies a shared execution engine (carrying its
-	// own parallelism, timeout and observer); when set it overrides
-	// Parallelism. Nil means a fresh engine per call.
+	// Engine optionally supplies a shared execution engine, carrying its
+	// own parallelism, observer and run cache. Nil means a fresh
+	// GOMAXPROCS-wide engine per call. Results are deterministic at any
+	// parallelism.
 	Engine *engine.Engine
 
 	// NoSeedBatch disables seed batching: every (strategy, seed) run becomes
@@ -110,15 +108,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// newEngine builds the harness's default engine: the given parallelism plus
-// a reusable core.RunScratch per worker, so the sweep's steady state
-// recycles the executors' queues and bookkeeping. A scratch holds capacity
-// only, so nothing a run reports points into it.
-func newEngine(parallelism int) *engine.Engine {
-	return engine.New(
-		engine.WithParallelism(parallelism),
-		engine.WithWorkerState(func() any { return new(core.RunScratch) }),
-	)
+// params renders the configuration as the bound formulas' parameters.
+func (c Config) params() bounds.Params {
+	return bounds.Params{
+		S: c.S, N: c.N, B: c.B,
+		C1: c.C1, C2: c.C2,
+		Cmin: c.Cmin, Cmax: c.Cmax,
+		D1: c.D1, D2: c.D2,
+	}
+}
+
+// engineOr returns eng or, when it is nil, the harness's default engine:
+// GOMAXPROCS workers, each with a reusable core.RunScratch, so the sweep's
+// steady state recycles the executors' queues and bookkeeping. A scratch
+// holds capacity only, so nothing a run reports points into it.
+func engineOr(eng *engine.Engine) *engine.Engine {
+	if eng != nil {
+		return eng
+	}
+	return engine.New(engine.WithWorkerState(func() any { return new(core.RunScratch) }))
 }
 
 // scratchFrom extracts the per-worker scratch; nil (scratch-free runs) when
@@ -126,15 +134,6 @@ func newEngine(parallelism int) *engine.Engine {
 func scratchFrom(ctx context.Context) *core.RunScratch {
 	sc, _ := engine.WorkerState(ctx).(*core.RunScratch)
 	return sc
-}
-
-// engineOrNew returns the configured shared engine or builds one at the
-// configured parallelism.
-func (c Config) engineOrNew() *engine.Engine {
-	if c.Engine != nil {
-		return c.Engine
-	}
-	return newEngine(c.Parallelism)
 }
 
 // Cell is one Table-1 row instantiation: a (timing model, communication
@@ -248,16 +247,16 @@ func checkSeeds(k int) error {
 	return nil
 }
 
-// checkSpec rejects an instance the bound formulas cannot evaluate, before
-// any bound is computed or any run starts: s or n below 1, or, where
-// shared-memory cells run (sm), an access bound b below 2.
-func checkSpec(s, n, b int, sm bool) error {
+// CheckSpec rejects an instance the bound formulas cannot evaluate, before
+// any bound is computed or any run starts: s or n below 1, or, where a
+// cell's formulas read the access bound (readsB), b below 2.
+func CheckSpec(s, n, b int, readsB bool) error {
 	switch {
 	case s < 1:
 		return fmt.Errorf("harness: s must be >= 1, got %d", s)
 	case n < 1:
 		return fmt.Errorf("harness: n must be >= 1, got %d", n)
-	case sm && b < 2:
+	case readsB && b < 2:
 		return fmt.Errorf("harness: b must be >= 2, got %d", b)
 	}
 	return nil
@@ -398,141 +397,66 @@ func batchSeedGroup(ctx context.Context, smAlg core.SMAlgorithm, mpAlg core.MPAl
 	}, wrap)
 }
 
-// cellDef declares one Table-1 cell's run matrix: which algorithm under
-// which model, measured in which unit, against which bounds. Exactly one of
-// smAlg/mpAlg is set.
-type cellDef struct {
-	row, comm, unit string
-	smAlg           core.SMAlgorithm
-	mpAlg           core.MPAlgorithm
-	spec            core.Spec
-	model           timing.Model
-	lower, upper    float64
-	// gammaUpper: the upper bound is the sporadic per-computation formula
-	// evaluated at each run's measured γ (Theorem 6.1).
-	gammaUpper bool
-	// rounds: measure rounds instead of time (asynchronous SM).
-	rounds bool
-}
-
-func (d cellDef) name() string {
-	if d.smAlg != nil {
-		return d.smAlg.Name()
-	}
-	return d.mpAlg.Name()
-}
-
-// aggregate folds the cell's index-ordered run outcomes into a Cell. The
-// fold visits outcomes in matrix order (strategies outer, seeds inner), so
-// the result is independent of the parallelism that produced them.
-func (d cellDef) aggregate(cfg Config, outs []runOutcome) Cell {
+// aggregate folds a cell's run outcomes into a Cell. The fold visits
+// outcomes in matrix order (strategies outer, seeds inner), so the result
+// is independent of the parallelism that produced them. An upper bound
+// that reads γ is evaluated at each run's measured γ; Upper reports the
+// largest.
+func aggregate(c registry.Cell, p bounds.Params, outs []runOutcome) Cell {
+	lower, upper := c.Bounds(p)
 	vals := make([]float64, 0, len(outs))
-	respects := true
-	worstUpper := d.upper
+	respects, worstUpper := true, upper
 	for _, o := range outs {
-		if d.rounds {
-			vals = append(vals, float64(o.rounds))
-			continue
+		v := o.finish
+		if c.Unit == "rounds" {
+			v = float64(o.rounds)
 		}
-		vals = append(vals, o.finish)
-		if d.gammaUpper {
-			gp := bounds.Params{
-				S: cfg.S, N: cfg.N,
-				C1: d.model.C1, D1: d.model.D1, D2: d.model.D2,
-				Gamma: o.gamma,
-			}
-			u := bounds.SporadicMPU(gp)
-			if o.finish > u {
-				respects = false
-			}
-			if u > worstUpper {
-				worstUpper = u
-			}
+		vals = append(vals, v)
+		u := upper
+		if c.ReadsGamma {
+			rp := p
+			rp.Gamma = o.gamma
+			_, u = c.Bounds(rp)
+		}
+		if v > u {
+			respects = false
+		}
+		if u > worstUpper {
+			worstUpper = u
 		}
 	}
 	sum := stats.Summarize(vals)
-	cell := Cell{
-		Row: d.row, Comm: d.comm, Unit: d.unit,
-		Lower: d.lower, Upper: worstUpper,
+	return Cell{
+		Row: c.Row, Comm: c.Comm, Unit: c.Unit,
+		Lower: lower, Upper: worstUpper,
 		Measured:      sum,
-		RealizesLower: sum.Max >= d.lower,
-		Algorithm:     d.name(),
-	}
-	if d.gammaUpper {
-		cell.RespectsUpper = respects
-	} else {
-		cell.RespectsUpper = sum.Max <= worstUpper
-	}
-	return cell
-}
-
-// table1Defs lays out the nine Table-1 cells at the configuration.
-func table1Defs(cfg Config) []cellDef {
-	p := bounds.Params{
-		S: cfg.S, N: cfg.N, B: cfg.B,
-		C1: cfg.C1, C2: cfg.C2,
-		Cmin: cfg.Cmin, Cmax: cfg.Cmax,
-		D1: cfg.D1, D2: cfg.D2,
-	}
-	smSpec := core.Spec{S: cfg.S, N: cfg.N, B: cfg.B}
-	mpSpec := core.Spec{S: cfg.S, N: cfg.N}
-
-	syncL, syncU := bounds.SyncSM(p)
-	syncLmp, syncUmp := bounds.SyncMP(p)
-	return []cellDef{
-		{row: "synchronous", comm: "SM", unit: "time", smAlg: synchronous.NewSM(), spec: smSpec,
-			model: timing.NewSynchronous(cfg.C2, 0), lower: syncL, upper: syncU},
-		{row: "synchronous", comm: "MP", unit: "time", mpAlg: synchronous.NewMP(), spec: mpSpec,
-			model: timing.NewSynchronous(cfg.C2, cfg.D2), lower: syncLmp, upper: syncUmp},
-		{row: "periodic", comm: "SM", unit: "time", smAlg: periodic.NewSM(), spec: smSpec,
-			model: timing.NewPeriodic(cfg.Cmin, cfg.Cmax, 0),
-			lower: bounds.PeriodicSML(p), upper: bounds.PeriodicSMU(p)},
-		{row: "periodic", comm: "MP", unit: "time", mpAlg: periodic.NewMP(), spec: mpSpec,
-			model: timing.NewPeriodic(cfg.Cmin, cfg.Cmax, cfg.D2),
-			lower: bounds.PeriodicMPL(p), upper: bounds.PeriodicMPU(p)},
-		{row: "semi-synchronous", comm: "SM", unit: "time", smAlg: semisync.NewSM(semisync.Auto), spec: smSpec,
-			model: timing.NewSemiSynchronous(cfg.C1, cfg.C2, 0),
-			lower: bounds.SemiSyncSML(p), upper: bounds.SemiSyncSMU(p)},
-		{row: "semi-synchronous", comm: "MP", unit: "time", mpAlg: semisync.NewMP(semisync.Auto), spec: mpSpec,
-			model: timing.NewSemiSynchronous(cfg.C1, cfg.C2, cfg.D2),
-			lower: bounds.SemiSyncMPL(p), upper: bounds.SemiSyncMPU(p)},
-		{row: "sporadic", comm: "MP", unit: "time", mpAlg: sporadic.NewMP(), spec: mpSpec,
-			model: timing.NewSporadic(cfg.C1, cfg.D1, cfg.D2, 0),
-			lower: bounds.SporadicMPL(p), gammaUpper: true},
-		{row: "asynchronous", comm: "SM", unit: "rounds", smAlg: async.NewSM(), spec: smSpec,
-			model: timing.NewAsynchronousSM(0),
-			lower: bounds.AsyncSML(p), upper: bounds.AsyncSMU(p), rounds: true},
-		{row: "asynchronous", comm: "MP", unit: "time", mpAlg: async.NewMP(), spec: mpSpec,
-			model: timing.NewAsynchronousMP(cfg.C2, cfg.D2),
-			lower: bounds.AsyncMPL(p), upper: bounds.AsyncMPU(p)},
+		RealizesLower: sum.Max >= lower,
+		RespectsUpper: respects,
+		Algorithm:     c.Algorithm(),
 	}
 }
 
-// Table1 regenerates every cell of Table 1 at the given configuration.
-func Table1(cfg Config) ([]Cell, error) {
-	return Table1Ctx(context.Background(), cfg)
-}
-
-// Table1Ctx is Table1 with cancellation: the full run matrix (cell ×
-// strategy × seed) fans across the configured engine, and ctx aborts
-// in-flight simulations mid-computation.
+// Table1Ctx regenerates every cell of Table 1 at the given configuration:
+// the full run matrix (cell × strategy × seed) fans across the configured
+// engine, and ctx aborts in-flight simulations mid-computation.
 func Table1Ctx(ctx context.Context, cfg Config) ([]Cell, error) {
 	cfg = cfg.withDefaults()
-	if err := checkSpec(cfg.S, cfg.N, cfg.B, true); err != nil {
+	if err := CheckSpec(cfg.S, cfg.N, cfg.B, true); err != nil {
 		return nil, err
 	}
-	defs := table1Defs(cfg)
+	p := cfg.params()
+	cells := registry.Cells()
 	sts := timing.AllStrategies()
-	outs, err := runGroups(ctx, cfg.engineOrNew(), len(defs)*len(sts), cfg.Seeds, cfg.NoSeedBatch,
+	outs, err := runGroups(ctx, engineOr(cfg.Engine), len(cells)*len(sts), cfg.Seeds, cfg.NoSeedBatch,
 		func(g int) string {
-			d := defs[g/len(sts)]
-			return fmt.Sprintf("%s/%s %v", d.row, d.comm, sts[g%len(sts)])
+			c := cells[g/len(sts)]
+			return fmt.Sprintf("%s/%s %v", c.Row, c.Comm, sts[g%len(sts)])
 		},
 		func(ctx context.Context, g int, seeds []uint64) (groupOutcome, error) {
-			d, st := defs[g/len(sts)], sts[g%len(sts)]
-			return batchSeedGroup(ctx, d.smAlg, d.mpAlg, d.comm, d.spec, d.model, st, seeds,
+			c, st := cells[g/len(sts)], sts[g%len(sts)]
+			return batchSeedGroup(ctx, c.SM, c.MP, c.Comm, c.Spec(cfg.S, cfg.N, cfg.B), c.Timing(p, 0), st, seeds,
 				func(seed uint64, err error) error {
-					return fmt.Errorf("%s/%s %v seed %d: %w", d.row, d.comm, st, seed, err)
+					return fmt.Errorf("%s/%s %v seed %d: %w", c.Row, c.Comm, st, seed, err)
 				})
 		})
 	if err != nil {
@@ -540,11 +464,11 @@ func Table1Ctx(ctx context.Context, cfg Config) ([]Cell, error) {
 	}
 
 	per := len(sts) * cfg.Seeds
-	cells := make([]Cell, len(defs))
-	for ci, d := range defs {
-		cells[ci] = d.aggregate(cfg, outs[ci*per:(ci+1)*per])
+	out := make([]Cell, len(cells))
+	for i, c := range cells {
+		out[i] = aggregate(c, p, outs[i*per:(i+1)*per])
 	}
-	return cells, nil
+	return out, nil
 }
 
 // WriteTable renders cells as an aligned text table.

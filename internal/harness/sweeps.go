@@ -6,11 +6,10 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"sessionproblem/internal/alg/async"
 	"sessionproblem/internal/alg/periodic"
+	"sessionproblem/internal/alg/registry"
 	"sessionproblem/internal/alg/semisync"
 	"sessionproblem/internal/alg/sporadic"
-	"sessionproblem/internal/alg/synchronous"
 	"sessionproblem/internal/bounds"
 	"sessionproblem/internal/core"
 	"sessionproblem/internal/engine"
@@ -104,6 +103,11 @@ const (
 	// of runs whose session guarantee survived (see FaultSweep for the
 	// structured per-model form).
 	SweepKindFaultIntensity
+	// SweepKindSporadicVsSemiSync is experiment F6: A(sp) under the
+	// sporadic model, gaps capped at c2, versus the semi-synchronous
+	// algorithm as d1 sweeps from d2 down to 0 (see SweepSporadicVsSemiSync
+	// for the structured form).
+	SweepKindSporadicVsSemiSync
 )
 
 // SweepSpec declares a sweep experiment as data: the kind, the problem
@@ -113,15 +117,15 @@ const (
 type SweepSpec struct {
 	Kind SweepKind
 
-	S int // sessions (F1, F3)
+	S int // sessions (F1, F3, F6)
 	N int // ports
 
 	C1 sim.Duration // step-time lower bound
-	C2 sim.Duration // step-time upper bound / period max (F2)
+	C2 sim.Duration // step-time upper bound / period max (F2) / sporadic gap cap (F6)
 	D1 sim.Duration // message-delay lower bound (F3 sporadic baseline)
 	D2 sim.Duration // message-delay upper bound
 
-	Steps int            // number of sweep points (F1)
+	Steps int            // number of sweep points (F1, F6)
 	MaxS  int            // largest session count (F2; sweeps s = 2..MaxS)
 	Cmaxs []sim.Duration // swept period maxima (F3)
 
@@ -131,10 +135,8 @@ type SweepSpec struct {
 
 	Seeds int // seeds per strategy (default 3)
 
-	// Parallelism is the worker-pool width; <= 0 means GOMAXPROCS.
-	Parallelism int
-	// Engine optionally supplies a shared execution engine, overriding
-	// Parallelism.
+	// Engine optionally supplies a shared execution engine; nil means a
+	// fresh one per call (see Config.Engine).
 	Engine *engine.Engine
 
 	// NoSeedBatch runs every (strategy, seed) run as its own engine task, a
@@ -147,13 +149,6 @@ func (sp SweepSpec) withDefaults() SweepSpec {
 		sp.Seeds = 3
 	}
 	return sp
-}
-
-func (sp SweepSpec) engineOrNew() *engine.Engine {
-	if sp.Engine != nil {
-		return sp.Engine
-	}
-	return newEngine(sp.Parallelism)
 }
 
 // Sweep runs the experiment a SweepSpec declares, fanning the full
@@ -169,6 +164,8 @@ func Sweep(ctx context.Context, sp SweepSpec) ([]SweepPoint, error) {
 		return sweepPeriodicVsSporadic(ctx, sp)
 	case SweepKindFaultIntensity:
 		return sweepFaultIntensity(ctx, sp)
+	case SweepKindSporadicVsSemiSync:
+		return sweepSporadicVsSemiSync(ctx, sp)
 	default:
 		return nil, fmt.Errorf("harness: unknown sweep kind %d", sp.Kind)
 	}
@@ -179,7 +176,7 @@ func Sweep(ctx context.Context, sp SweepSpec) ([]SweepPoint, error) {
 // the model behaves synchronously (per-session ~ c1..O(γ)); as d1 -> 0 it
 // behaves asynchronously (per-session ~ d2).
 func sweepSporadicDelay(ctx context.Context, sp SweepSpec) ([]SweepPoint, error) {
-	if err := checkSpec(sp.S, sp.N, 0, false); err != nil {
+	if err := CheckSpec(sp.S, sp.N, 0, false); err != nil {
 		return nil, err
 	}
 	steps := sp.Steps
@@ -194,7 +191,7 @@ func sweepSporadicDelay(ctx context.Context, sp SweepSpec) ([]SweepPoint, error)
 		groups[i] = mpGroup{fmt.Sprintf("F1 d1=%v", d1s[i]), sporadic.NewMP(), spec,
 			timing.NewSporadic(sp.C1, d1s[i], sp.D2, 2*sp.C1)}
 	}
-	max, err := maxFinishByGroup(ctx, sp.engineOrNew(), groups, sp.Seeds, sp.NoSeedBatch)
+	max, err := maxFinishByGroup(ctx, engineOr(sp.Engine), groups, sp.Seeds, sp.NoSeedBatch)
 	if err != nil {
 		return nil, fmt.Errorf("F1: %w", err)
 	}
@@ -237,7 +234,7 @@ func sweepPeriodicVsSemiSync(ctx context.Context, sp SweepSpec) ([]SweepPoint, e
 			mpGroup{fmt.Sprintf("F2 semisync s=%d", s), semisync.NewMP(semisync.Auto), spec,
 				timing.NewSemiSynchronous(sp.C1, sp.C2, sp.D2)})
 	}
-	max, err := maxFinishByGroup(ctx, sp.engineOrNew(), groups, sp.Seeds, sp.NoSeedBatch)
+	max, err := maxFinishByGroup(ctx, engineOr(sp.Engine), groups, sp.Seeds, sp.NoSeedBatch)
 	if err != nil {
 		return nil, fmt.Errorf("F2: %w", err)
 	}
@@ -271,7 +268,7 @@ func sweepPeriodicVsSporadic(ctx context.Context, sp SweepSpec) ([]SweepPoint, e
 		groups = append(groups, mpGroup{fmt.Sprintf("F3 periodic cmax=%v", cmax), periodic.NewMP(), spec,
 			timing.NewPeriodic(sp.C1, cmax, sp.D2)})
 	}
-	max, err := maxFinishByGroup(ctx, sp.engineOrNew(), groups, sp.Seeds, sp.NoSeedBatch)
+	max, err := maxFinishByGroup(ctx, engineOr(sp.Engine), groups, sp.Seeds, sp.NoSeedBatch)
 	if err != nil {
 		return nil, fmt.Errorf("F3: %w", err)
 	}
@@ -299,7 +296,6 @@ func sweepFaultIntensity(ctx context.Context, sp SweepSpec) ([]SweepPoint, error
 		Intensities: sp.Intensities,
 		Kinds:       sp.FaultKinds,
 		FaultSeed:   sp.FaultSeed,
-		Parallelism: sp.Parallelism,
 		Engine:      sp.Engine,
 		NoSeedBatch: sp.NoSeedBatch,
 	})
@@ -333,54 +329,30 @@ type HierarchyRow struct {
 	Algorithm string
 }
 
-// mpRowDef is one message-passing model row of the hierarchy (F4) and the
-// fault sweep: the model's designated algorithm under the model.
-type mpRowDef struct {
-	name  string
-	alg   core.MPAlgorithm
-	model timing.Model
-}
-
-// mpRowDefs lays out the five message-passing model rows at the given
-// constants, fastest model first.
-func mpRowDefs(c1, c2, cmin, cmax, d1, d2 sim.Duration) []mpRowDef {
-	return []mpRowDef{
-		{"synchronous", synchronous.NewMP(), timing.NewSynchronous(c2, d2)},
-		{"periodic", periodic.NewMP(), timing.NewPeriodic(cmin, cmax, d2)},
-		{"semi-synchronous", semisync.NewMP(semisync.Auto), timing.NewSemiSynchronous(c1, c2, d2)},
-		{"sporadic", sporadic.NewMP(), timing.NewSporadic(c1, d1, d2, 0)},
-		{"asynchronous", async.NewMP(), timing.NewAsynchronousMP(c2, d2)},
-	}
-}
-
-// Hierarchy is experiment F4: the worst-case running time of every model's
-// algorithm at one parameter point, exhibiting the ordering
-// synchronous <= periodic <= semi-synchronous/sporadic <= asynchronous the
-// paper's Table 1 implies for message passing.
-func Hierarchy(cfg Config) ([]HierarchyRow, error) {
-	return HierarchyCtx(context.Background(), cfg)
-}
-
-// HierarchyCtx is Hierarchy with cancellation; the five models' run
-// matrices fan across the configured engine together.
+// HierarchyCtx is experiment F4: the worst-case running time of every
+// message-passing cell's algorithm at one parameter point, exhibiting the
+// ordering synchronous <= periodic <= semi-synchronous/sporadic <=
+// asynchronous the paper's Table 1 implies. The five cells' run matrices
+// fan across the configured engine together.
 func HierarchyCtx(ctx context.Context, cfg Config) ([]HierarchyRow, error) {
 	cfg = cfg.withDefaults()
 	spec := core.Spec{S: cfg.S, N: cfg.N}
+	p := cfg.params()
 
-	defs := mpRowDefs(cfg.C1, cfg.C2, cfg.Cmin, cfg.Cmax, cfg.D1, cfg.D2)
-	groups := make([]mpGroup, len(defs))
-	for i, d := range defs {
-		groups[i] = mpGroup{"F4 " + d.name, d.alg, spec, d.model}
+	cells := registry.MPCells()
+	groups := make([]mpGroup, len(cells))
+	for i, c := range cells {
+		groups[i] = mpGroup{"F4 " + c.Row, c.MP, spec, c.Timing(p, 0)}
 	}
-	max, err := maxFinishByGroup(ctx, cfg.engineOrNew(), groups, cfg.Seeds, cfg.NoSeedBatch)
+	max, err := maxFinishByGroup(ctx, engineOr(cfg.Engine), groups, cfg.Seeds, cfg.NoSeedBatch)
 	if err != nil {
 		return nil, fmt.Errorf("F4: %w", err)
 	}
-	rows := make([]HierarchyRow, len(defs))
-	for i, d := range defs {
+	rows := make([]HierarchyRow, len(cells))
+	for i, c := range cells {
 		rows[i] = HierarchyRow{
-			Model: d.name, Comm: "MP", Unit: "time",
-			Measured: max[i], Algorithm: d.alg.Name(),
+			Model: c.Row, Comm: c.Comm, Unit: c.Unit,
+			Measured: max[i], Algorithm: c.Algorithm(),
 		}
 	}
 	return rows, nil

@@ -29,7 +29,7 @@ type TightnessRow struct {
 // nontrivial min/max bound expressions).
 func Tightness(cfg Config) ([]TightnessRow, error) {
 	cfg = cfg.withDefaults()
-	if err := checkSpec(cfg.S, cfg.N, 0, false); err != nil {
+	if err := CheckSpec(cfg.S, cfg.N, 0, false); err != nil {
 		return nil, err
 	}
 	var rows []TightnessRow

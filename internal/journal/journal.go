@@ -75,9 +75,10 @@ func encodeFrame(key string, payload []byte) []byte {
 
 // Scan reads the journal at path and invokes fn for every valid frame, in
 // append order, stopping silently at the first frame that fails validation
-// — short header, wrong magic or version, absurd lengths, short body, or a
-// checksum mismatch. A missing file is an empty journal, not an error; only
-// an I/O failure or an fn error aborts the scan.
+// — short header, wrong magic or version, lengths past the end of the
+// file, short body, or a checksum mismatch. A missing file is an empty
+// journal, not an error; only an I/O failure or an fn error aborts the
+// scan.
 func Scan(path string, fn func(key string, payload []byte) error) (Stats, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -91,7 +92,7 @@ func Scan(path string, fn func(key string, payload []byte) error) (Stats, error)
 	if err != nil {
 		return Stats{}, fmt.Errorf("journal: %w", err)
 	}
-	st, err := scanFrames(f, fn)
+	st, err := scanFrames(f, fi.Size(), fn)
 	if err != nil {
 		return st, err
 	}
@@ -102,8 +103,11 @@ func Scan(path string, fn func(key string, payload []byte) error) (Stats, error)
 	return st, nil
 }
 
-// scanFrames walks frames off r until EOF or the first invalid frame.
-func scanFrames(r io.Reader, fn func(string, []byte) error) (Stats, error) {
+// scanFrames walks frames off r, which holds size bytes, until EOF or the
+// first invalid frame. A frame whose header claims more bytes than remain
+// is invalid before its body is allocated, so a damaged length field costs
+// nothing.
+func scanFrames(r io.Reader, size int64, fn func(string, []byte) error) (Stats, error) {
 	br := bufio.NewReader(r)
 	var st Stats
 	hdr := make([]byte, headerSize)
@@ -117,7 +121,8 @@ func scanFrames(r io.Reader, fn func(string, []byte) error) (Stats, error) {
 		}
 		keyLen := int(binary.LittleEndian.Uint32(hdr[8:12]))
 		dataLen := int(binary.LittleEndian.Uint32(hdr[12:16]))
-		if keyLen < 0 || dataLen < 0 || keyLen+dataLen > maxFrameSize {
+		if keyLen < 0 || dataLen < 0 || keyLen+dataLen > maxFrameSize ||
+			int64(headerSize+keyLen+dataLen) > size-st.Bytes {
 			return st, nil
 		}
 		body := make([]byte, keyLen+dataLen)

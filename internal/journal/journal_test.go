@@ -2,9 +2,11 @@ package journal_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -207,6 +209,33 @@ func TestTornFrameBodyStopsScan(t *testing.T) {
 	}
 	if len(keys) != 2 {
 		t.Fatalf("replayed %d frames, want 2", len(keys))
+	}
+}
+
+// TestDamagedLengthAllocatesNothing: a header whose length field claims
+// more bytes than the file holds ends the scan before the body is
+// allocated, so damage to a length costs nothing.
+func TestDamagedLengthAllocatesNothing(t *testing.T) {
+	path := journalPath(t)
+	hdr := make([]byte, 20)
+	copy(hdr, "SPJL")
+	hdr[4] = 1                                       // version
+	binary.LittleEndian.PutUint32(hdr[8:12], 60<<20) // a 60 MiB key
+	if err := os.WriteFile(path, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := journal.Scan(path, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Frames != 0 || !st.Damaged {
+		t.Errorf("Scan = %+v, want no frames and a damaged tail", st)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("Scan of a %d-byte journal allocated %d bytes", len(hdr), alloc)
 	}
 }
 

@@ -28,7 +28,7 @@ func FuzzScanFrames(f *testing.F) {
 
 		var keys []string
 		var payloads [][]byte
-		st, err := scanFrames(bytes.NewReader(buf.Bytes()), func(k string, p []byte) error {
+		st, err := scanFrames(bytes.NewReader(buf.Bytes()), int64(buf.Len()), func(k string, p []byte) error {
 			keys = append(keys, k)
 			payloads = append(payloads, p)
 			return nil
@@ -45,7 +45,7 @@ func FuzzScanFrames(f *testing.F) {
 			}
 		}
 
-		st, err = scanFrames(bytes.NewReader(tail), nil)
+		st, err = scanFrames(bytes.NewReader(tail), int64(len(tail)), nil)
 		if err != nil || st.Bytes > int64(len(tail)) {
 			t.Fatalf("scan of %d arbitrary bytes: %+v, %v", len(tail), st, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"sessionproblem/internal/bounds"
 	"sessionproblem/internal/core"
 	"sessionproblem/internal/diskcache"
 	"sessionproblem/internal/engine"
@@ -101,7 +102,6 @@ type settings struct {
 
 	faultPlan        *fault.Plan
 	retries          int
-	retryBackoff     time.Duration
 	faultIntensities []float64
 	robustness       bool
 	perKindMargins   bool
@@ -198,6 +198,16 @@ func (s settings) harnessConfig(eng *engine.Engine) harness.Config {
 	}
 }
 
+// params renders the settings as the bound formulas' parameters.
+func (s settings) params() bounds.Params {
+	return bounds.Params{
+		S: s.s, N: s.n, B: s.b,
+		C1: s.c1, C2: s.c2, Cmin: s.cmin, Cmax: s.cmax,
+		D1: s.d1, D2: s.d2,
+		Gamma: s.gamma,
+	}
+}
+
 // engine builds the worker pool an API call fans out on, translating the
 // observer to the public Observation type.
 func (s settings) engine() *engine.Engine {
@@ -207,20 +217,23 @@ func (s settings) engine() *engine.Engine {
 	}
 	if s.observer != nil {
 		obs := s.observer
-		opts = append(opts, engine.WithObserver(func(r engine.Result) {
-			obs(Observation{
-				Label:    r.Label,
-				Worker:   r.Worker,
-				Wall:     r.Wall,
-				Steps:    r.Counts.Steps,
-				Sessions: r.Counts.Sessions,
-				Messages: r.Counts.Messages,
-				Faults:   r.Counts.Faults,
-				Err:      r.Err,
-			})
-		}))
+		opts = append(opts, engine.WithObserver(func(r engine.Result) { obs(observationOf(r)) }))
 	}
 	return engine.New(opts...)
+}
+
+// observationOf renders one run's engine result as the public Observation.
+func observationOf(r engine.Result) Observation {
+	return Observation{
+		Label:    r.Label,
+		Worker:   r.Worker,
+		Wall:     r.Wall,
+		Steps:    r.Counts.Steps,
+		Sessions: r.Counts.Sessions,
+		Messages: r.Counts.Messages,
+		Faults:   r.Counts.Faults,
+		Err:      r.Err,
+	}
 }
 
 func statsOf(eng *engine.Engine) Stats {
@@ -422,12 +435,6 @@ func WithFaultPlan(p FaultPlan) Option {
 // an expired context surfaces as ctx.Err() immediately.
 func WithRetries(n int) Option {
 	return func(cfg *settings) { cfg.retries = n }
-}
-
-// WithRetryBackoff inserts a wall-clock pause between Solve retry attempts,
-// interruptible by the call's context.
-func WithRetryBackoff(d time.Duration) Option {
-	return func(cfg *settings) { cfg.retryBackoff = d }
 }
 
 // WithFaultIntensities sets the intensity axis used by SweepFaultIntensity

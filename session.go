@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -13,7 +14,6 @@ import (
 	"sessionproblem/internal/engine"
 	"sessionproblem/internal/fault"
 	"sessionproblem/internal/harness"
-	"sessionproblem/internal/sim"
 	"sessionproblem/internal/timing"
 )
 
@@ -374,31 +374,24 @@ const (
 	MessagePassing Comm = "mp"
 )
 
-func (s settings) timingModel(m Model, comm Comm) (timing.Model, error) {
-	mp := comm == MessagePassing
-	d2 := sim.Duration(0)
-	if mp {
-		d2 = s.d2
+// tableCell looks up the Table-1 cell of (m, comm): the one Solve runs and
+// PaperEnvelope evaluates.
+func tableCell(m Model, comm Comm) (registry.Cell, error) {
+	var c registry.Cell
+	ok := false
+	if comm == SharedMemory || comm == MessagePassing {
+		c, ok = registry.Find(string(m), strings.ToUpper(string(comm)))
 	}
-	switch m {
-	case Synchronous:
-		return timing.NewSynchronous(s.c2, d2), nil
-	case Periodic:
-		return timing.NewPeriodic(s.cmin, s.cmax, d2), nil
-	case SemiSynchronous:
-		return timing.NewSemiSynchronous(s.c1, s.c2, d2), nil
-	case Sporadic:
-		if !mp {
-			return timing.Model{}, fmt.Errorf("sessionproblem: the sporadic SM model equals the asynchronous SM model; use Asynchronous")
-		}
-		return timing.NewSporadic(s.c1, s.d1, s.d2, s.gapCap), nil
-	case Asynchronous:
-		if mp {
-			return timing.NewAsynchronousMP(s.c2, s.d2), nil
-		}
-		return timing.NewAsynchronousSM(s.gapCap), nil
+	_, known := registry.Find(string(m), "MP") // every model has a message-passing cell
+	switch {
+	case ok:
+		return c, nil
+	case !known:
+		return c, fmt.Errorf("sessionproblem: unknown model %q", m)
+	case m == Sporadic:
+		return c, fmt.Errorf("sessionproblem: the sporadic SM model equals the asynchronous SM model; use Asynchronous")
 	default:
-		return timing.Model{}, fmt.Errorf("sessionproblem: unknown model %q", m)
+		return c, fmt.Errorf("sessionproblem: unknown communication model %q (want sm or mp)", comm)
 	}
 }
 
@@ -445,58 +438,24 @@ func Solve(ctx context.Context, m Model, comm Comm, opts ...Option) (*Report, er
 	if err != nil {
 		return nil, err
 	}
-	tm, err := cfg.timingModel(m, comm)
+	c, err := tableCell(m, comm)
 	if err != nil {
 		return nil, err
 	}
-
-	// Resolve the algorithm once; the fault path reuses it across attempts.
-	// keyComm/algName/spec identify the run in the cache key space (shared
-	// with the harness, so a Solve that coincides with a table or sweep run
-	// reuses its cache slot).
-	var runPlain func(context.Context) (*core.Report, error)
-	var runFaulted func(context.Context, core.FaultRun) (*core.Report, error)
-	var spec core.Spec
-	var keyComm, algName string
-	switch comm {
-	case SharedMemory:
-		alg := cfg.smAlg
-		if alg == nil {
-			if alg, err = registry.ForSM(tm.Kind); err != nil {
-				return nil, err
-			}
-		}
-		spec = core.Spec{S: cfg.s, N: cfg.n, B: cfg.b}
-		keyComm, algName = "SM", alg.Name()
-		runPlain = func(ctx context.Context) (*core.Report, error) {
-			return core.RunSMStream(ctx, alg, spec, tm, st, cfg.seed, nil, core.StreamOptions{})
-		}
-		runFaulted = func(ctx context.Context, fr core.FaultRun) (*core.Report, error) {
-			return core.RunSMFaulted(ctx, alg, spec, tm, st, cfg.seed, fr)
-		}
-	case MessagePassing:
-		alg := cfg.mpAlg
-		if alg == nil {
-			if alg, err = registry.ForMP(tm.Kind); err != nil {
-				return nil, err
-			}
-		}
-		spec = core.Spec{S: cfg.s, N: cfg.n}
-		keyComm, algName = "MP", alg.Name()
-		runPlain = func(ctx context.Context) (*core.Report, error) {
-			return core.RunMPStream(ctx, alg, spec, tm, st, cfg.seed, nil, core.StreamOptions{})
-		}
-		runFaulted = func(ctx context.Context, fr core.FaultRun) (*core.Report, error) {
-			return core.RunMPFaulted(ctx, alg, spec, tm, st, cfg.seed, fr)
-		}
-	default:
-		return nil, fmt.Errorf("sessionproblem: unknown communication model %q (want sm or mp)", comm)
+	id := solveID{
+		comm: c.Comm, sm: c.SM, mp: c.MP,
+		spec: c.Spec(cfg.s, cfg.n, cfg.b), model: c.Timing(cfg.params(), cfg.gapCap),
+		strategy: st, seed: cfg.seed,
+	}
+	if id.sm != nil && cfg.smAlg != nil {
+		id.sm = cfg.smAlg
+	}
+	if id.mp != nil && cfg.mpAlg != nil {
+		id.mp = cfg.mpAlg
 	}
 
 	if cfg.faultPlan == nil && cfg.retries == 0 && !cfg.robustness {
-		key := core.RunKey(keyComm, algName, spec, tm, st, cfg.seed, 0, nil)
-		label := fmt.Sprintf("solve %s/%s %s seed %d", algName, keyComm, st, cfg.seed)
-		sum, err := cfg.cachedRun(ctx, label, key, runPlain)
+		sum, err := cfg.cachedRun(ctx, id.label(), id.key(0, nil), id.runPlain)
 		if err != nil {
 			return nil, err
 		}
@@ -507,41 +466,66 @@ func Solve(ctx context.Context, m Model, comm Comm, opts ...Option) (*Report, er
 		out.RobustnessMargin = -1
 		return out, nil
 	}
-	id := solveID{comm: keyComm, alg: algName, spec: spec, model: tm, strategy: st, seed: cfg.seed}
-	return cfg.solveFaulted(ctx, id, runFaulted)
+	return cfg.solveFaulted(ctx, id)
 }
 
-// solveID carries the cache-key ingredients of one Solve call through the
-// degradation path.
+// solveID is the run one Solve call makes: the cell's algorithm, or the
+// caller's WithSMAlgorithm/WithMPAlgorithm one (exactly one of sm and mp is
+// set), under the cell's spec and timing model and the chosen schedule.
 type solveID struct {
-	comm, alg string
-	spec      core.Spec
-	model     timing.Model
-	strategy  timing.Strategy
-	seed      uint64
+	comm     string
+	sm       core.SMAlgorithm
+	mp       core.MPAlgorithm
+	spec     core.Spec
+	model    timing.Model
+	strategy timing.Strategy
+	seed     uint64
 }
 
-// attempt runs one faulted execution under the given plan (nil = injector-
-// free) through the run cache.
-func (cfg settings) attempt(ctx context.Context, id solveID, plan *fault.Plan, runFaulted func(context.Context, core.FaultRun) (*core.Report, error)) (*core.RunSummary, error) {
+func (id solveID) alg() string {
+	if id.sm != nil {
+		return id.sm.Name()
+	}
+	return id.mp.Name()
+}
+
+// key renders the run's cache key. The key space is the harness's, so a
+// Solve that coincides with a table or sweep run reuses its cache slot.
+func (id solveID) key(maxSteps int, plan *fault.Plan) string {
+	return core.RunKey(id.comm, id.alg(), id.spec, id.model, id.strategy, id.seed, maxSteps, plan)
+}
+
+func (id solveID) label() string {
+	return fmt.Sprintf("solve %s/%s %s seed %d", id.alg(), id.comm, id.strategy, id.seed)
+}
+
+// runPlain executes the fault-free run, certified online and trace-free.
+func (id solveID) runPlain(ctx context.Context) (*core.Report, error) {
+	if id.sm != nil {
+		return core.RunSMStream(ctx, id.sm, id.spec, id.model, id.strategy, id.seed, nil, core.StreamOptions{})
+	}
+	return core.RunMPStream(ctx, id.mp, id.spec, id.model, id.strategy, id.seed, nil, core.StreamOptions{})
+}
+
+// faulted returns the cache key and the runner of one audited execution
+// under plan (nil = injector-free).
+func (id solveID) faulted(plan *fault.Plan) (string, func(context.Context) (*core.Report, error)) {
 	fr := core.FaultRun{MaxSteps: defaultFaultMaxSteps}
 	if plan != nil {
 		fr.Injector = plan.Injector()
 	}
-	key := core.RunKey(id.comm, id.alg, id.spec, id.model, id.strategy, id.seed, defaultFaultMaxSteps, plan)
-	label := fmt.Sprintf("solve %s/%s %s seed %d", id.alg, id.comm, id.strategy, id.seed)
-	if plan != nil {
-		label += " faulted"
+	return id.key(defaultFaultMaxSteps, plan), func(ctx context.Context) (*core.Report, error) {
+		if id.sm != nil {
+			return core.RunSMFaulted(ctx, id.sm, id.spec, id.model, id.strategy, id.seed, fr)
+		}
+		return core.RunMPFaulted(ctx, id.mp, id.spec, id.model, id.strategy, id.seed, fr)
 	}
-	return cfg.cachedRun(ctx, label, key, func(ctx context.Context) (*core.Report, error) {
-		return runFaulted(ctx, fr)
-	})
 }
 
 // solveFaulted is Solve's degradation path: audit instead of fail, retry
 // non-admissible attempts under fresh fault draws, and optionally sweep the
 // intensity axis for the robustness margin (overall and per fault kind).
-func (cfg settings) solveFaulted(ctx context.Context, id solveID, runFaulted func(context.Context, core.FaultRun) (*core.Report, error)) (*Report, error) {
+func (cfg settings) solveFaulted(ctx context.Context, id solveID) (*Report, error) {
 	planAt := func(attempt int) *fault.Plan {
 		if cfg.faultPlan == nil {
 			return nil
@@ -555,21 +539,19 @@ func (cfg settings) solveFaulted(ctx context.Context, id solveID, runFaulted fun
 	var best *core.RunSummary
 	attempts := 0
 	for a := 0; a <= cfg.retries; a++ {
-		// Cancellation is never masked by the retry loop: check before
-		// every attempt and during backoff.
+		// Cancellation is never masked by the retry loop: an attempt the
+		// cache serves runs no executor that would notice it, so check
+		// before every attempt.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if a > 0 && cfg.retryBackoff > 0 {
-			timer := time.NewTimer(cfg.retryBackoff)
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-				return nil, ctx.Err()
-			case <-timer.C:
-			}
+		plan := planAt(a)
+		label := id.label()
+		if plan != nil {
+			label += " faulted"
 		}
-		sum, err := cfg.attempt(ctx, id, planAt(a), runFaulted)
+		key, run := id.faulted(plan)
+		sum, err := cfg.cachedRun(ctx, label, key, run)
 		if err != nil {
 			return nil, err
 		}
@@ -586,7 +568,7 @@ func (cfg settings) solveFaulted(ctx context.Context, id solveID, runFaulted fun
 	var kindMargins map[FaultKind]float64
 	if cfg.robustness {
 		var err error
-		if margin, kindMargins, err = cfg.robustnessMargin(ctx, id, runFaulted); err != nil {
+		if margin, kindMargins, err = cfg.robustnessMargin(ctx, id); err != nil {
 			return nil, err
 		}
 	}
@@ -609,7 +591,7 @@ func (cfg settings) solveFaulted(ctx context.Context, id solveID, runFaulted fun
 // the session guarantee held. With WithPerKindMargins the matrix gains one
 // row per injectable fault kind (the plan restricted to that kind), and the
 // per-kind prefix margins come back alongside the overall one.
-func (cfg settings) robustnessMargin(ctx context.Context, id solveID, runFaulted func(context.Context, core.FaultRun) (*core.Report, error)) (float64, map[FaultKind]float64, error) {
+func (cfg settings) robustnessMargin(ctx context.Context, id solveID) (float64, map[FaultKind]float64, error) {
 	intensities := cfg.sortedIntensities()
 	base := fault.NewPlan(1, 0)
 	if cfg.faultPlan != nil {
@@ -630,7 +612,9 @@ func (cfg settings) robustnessMargin(ctx context.Context, id solveID, runFaulted
 		p = p.WithIntensity(intensities[i]).ScaledTo(id.model)
 		return &p
 	}
-	held, err := engine.Map(ctx, cfg.engine(), rows*len(intensities),
+	// The engine observes each run once, with the counts its summaryRun
+	// accounts.
+	runs, err := engine.Map(ctx, cfg.engine(), rows*len(intensities),
 		func(j int) string {
 			row, i := j/len(intensities), j%len(intensities)
 			if row == 0 {
@@ -638,13 +622,10 @@ func (cfg settings) robustnessMargin(ctx context.Context, id solveID, runFaulted
 			}
 			return fmt.Sprintf("robustness %v i=%.2f", kinds[row-1], intensities[i])
 		},
-		func(ctx context.Context, j int) (bool, error) {
-			row, i := j/len(intensities), j%len(intensities)
-			sum, err := cfg.attempt(ctx, id, planFor(row, i), runFaulted)
-			if err != nil {
-				return false, err
-			}
-			return sum.Audit.Held(), nil
+		func(ctx context.Context, j int) (summaryRun, error) {
+			key, run := id.faulted(planFor(j/len(intensities), j%len(intensities)))
+			sum, err := cfg.lookupOrRun(ctx, key, run)
+			return summaryRun{sum}, err
 		})
 	if err != nil {
 		return -1, nil, err
@@ -652,7 +633,7 @@ func (cfg settings) robustnessMargin(ctx context.Context, id solveID, runFaulted
 	prefixMargin := func(row int) float64 {
 		margin := -1.0
 		for i := range intensities {
-			if !held[row*len(intensities)+i] {
+			if !runs[row*len(intensities)+i].sum.Audit.Held() {
 				break
 			}
 			margin = intensities[i]
@@ -687,30 +668,35 @@ func reportOf(sum *core.RunSummary) *Report {
 	}
 }
 
-// cachedRun runs one solve attempt through the configured run cache (no-op
-// when neither WithRunCache nor WithCacheDir was given): hits return the
-// memoized summary, misses execute and memoize. Either way the observer is
-// notified — the engine-backed calls observe every run slot whether or not
-// the cache absorbed it, and Solve keeps that contract. Errors are never
-// cached.
+// summaryRun is one Solve run's summary as an engine task value. It is
+// Accountable, so an Observation of the run carries its counts.
+type summaryRun struct{ sum *core.RunSummary }
+
+func (r summaryRun) Account() engine.Counts {
+	if r.sum == nil {
+		return engine.Counts{}
+	}
+	return engine.Counts{Steps: r.sum.Steps, Sessions: r.sum.Sessions, Messages: r.sum.Messages, Faults: r.sum.Faults}
+}
+
+// cachedRun runs one Solve run outside the engine through lookupOrRun and
+// delivers its one Observation, carrying its counts or, on failure, Err,
+// as the engine does for the runs it executes. A run the cache absorbed is
+// observed too.
 func (cfg settings) cachedRun(ctx context.Context, label, key string, run func(context.Context) (*core.Report, error)) (*core.RunSummary, error) {
 	start := time.Now()
 	sum, err := cfg.lookupOrRun(ctx, key, run)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.observer != nil {
-		cfg.observer(Observation{
-			Label:    label,
-			Wall:     time.Since(start),
-			Steps:    sum.Steps,
-			Sessions: sum.Sessions,
-			Messages: sum.Messages,
-		})
+		cfg.observer(observationOf(engine.Result{
+			Label: label, Wall: time.Since(start), Err: err, Counts: summaryRun{sum}.Account(),
+		}))
 	}
-	return sum, nil
+	return sum, err
 }
 
+// lookupOrRun serves the run from the configured run cache (none without
+// WithRunCache, WithCacheDir or WithJournal) or executes and caches it.
+// Errors are never cached.
 func (cfg settings) lookupOrRun(ctx context.Context, key string, run func(context.Context) (*core.Report, error)) (*core.RunSummary, error) {
 	if cfg.runCache != nil {
 		if v, ok := cfg.runCache.Get(key); ok {

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
-	"time"
 
 	"sessionproblem"
 )
@@ -93,27 +93,90 @@ func TestSolveRetriesCountAttempts(t *testing.T) {
 	}
 }
 
-// Cancellation mid-retry must surface promptly as ctx.Err(), not be masked
-// by the retry loop or its backoff timer.
+// Cancellation mid-retry must surface as ctx.Err(), not be masked by the
+// retry loop. The observer cancels after the first attempt, and the cache
+// already holds every attempt: a cache hit runs no executor that would
+// notice the cancellation, so only the loop's own check can report it.
 func TestSolveRetryCancellationNotMasked(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := sessionproblem.Solve(ctx,
-		sessionproblem.Synchronous, sessionproblem.MessagePassing,
+	opts := []sessionproblem.Option{
 		sessionproblem.WithSpec(2, 2),
 		sessionproblem.WithSchedule("slow", 1),
 		sessionproblem.WithFaultPlan(sessionproblem.NewFaultPlan(1, 1, sessionproblem.FaultCrash)),
 		sessionproblem.WithRetries(5),
-		sessionproblem.WithRetryBackoff(30*time.Second))
+		sessionproblem.WithRunCache(sessionproblem.NewRunCache()),
+	}
+	if _, err := sessionproblem.Solve(context.Background(),
+		sessionproblem.Synchronous, sessionproblem.MessagePassing, opts...); err != nil {
+		t.Fatalf("warming Solve: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	attempts := 0
+	_, err := sessionproblem.Solve(ctx,
+		sessionproblem.Synchronous, sessionproblem.MessagePassing,
+		append(opts, sessionproblem.WithObserver(func(sessionproblem.Observation) {
+			attempts++
+			cancel()
+		}))...)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %v; the backoff timer masked ctx.Done", elapsed)
+	if attempts != 1 {
+		t.Errorf("%d attempts ran, want 1: the loop went on after the cancellation", attempts)
+	}
+}
+
+// TestSolveObservesEachRunOnce: every run a Solve call makes is observed
+// exactly once, carrying its counts and faults, and a failed run carries
+// its error — as the engine-backed calls observe theirs.
+func TestSolveObservesEachRunOnce(t *testing.T) {
+	var mu sync.Mutex
+	var obs []sessionproblem.Observation
+	record := sessionproblem.WithObserver(func(o sessionproblem.Observation) {
+		mu.Lock()
+		defer mu.Unlock()
+		obs = append(obs, o)
+	})
+	solve := func(ctx context.Context, opts ...sessionproblem.Option) (*sessionproblem.Report, error) {
+		obs = nil
+		return sessionproblem.Solve(ctx, sessionproblem.Periodic, sessionproblem.MessagePassing,
+			append(opts, record)...)
+	}
+
+	// The attempt plus one robustness run per intensity.
+	if _, err := solve(context.Background(), sessionproblem.WithSpec(2, 3),
+		sessionproblem.WithRobustnessMargin(), sessionproblem.WithFaultIntensities(0, 0.3)); err != nil {
+		t.Fatalf("robustness Solve: %v", err)
+	}
+	if len(obs) != 3 {
+		t.Fatalf("robustness Solve: %d observations of 3 runs: %+v", len(obs), obs)
+	}
+	for _, o := range obs {
+		if o.Steps == 0 || o.Sessions == 0 || o.Err != nil {
+			t.Errorf("robustness Solve observation %+v", o)
+		}
+	}
+
+	rep, err := solve(context.Background(), sessionproblem.WithSpec(3, 4), sessionproblem.WithSchedule("random", 3),
+		sessionproblem.WithFaultPlan(sessionproblem.NewFaultPlan(2, 0.5)))
+	if err != nil {
+		t.Fatalf("faulted Solve: %v", err)
+	}
+	if rep.FaultsInjected == 0 {
+		t.Fatal("faulted Solve injected no faults")
+	}
+	if len(obs) != 1 || obs[0].Faults != rep.FaultsInjected || obs[0].Steps != rep.Steps ||
+		obs[0].Sessions != rep.Sessions || obs[0].Messages != rep.Messages {
+		t.Errorf("faulted Solve observations %+v, report %+v", obs, rep)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := solve(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Solve: %v", err)
+	}
+	if len(obs) != 1 || !errors.Is(obs[0].Err, context.Canceled) {
+		t.Errorf("cancelled Solve observations %+v, want one carrying the error", obs)
 	}
 }
 
