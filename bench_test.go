@@ -12,8 +12,10 @@ package sessionproblem_test
 import (
 	"context"
 	"flag"
+	"runtime/metrics"
 	"strconv"
 	"testing"
+	"time"
 
 	"sessionproblem/internal/adversary"
 	"sessionproblem/internal/alg/async"
@@ -263,6 +265,57 @@ func BenchmarkLargeNExpander100k(b *testing.B) {
 // certified end to end in O(ports) memory.
 func BenchmarkLargeNExpander1M(b *testing.B) {
 	benchLargeNSM(b, gossip.NewSM("expander", 1), 1, 1_000_000, 2, 2_000_000_000)
+}
+
+// BenchmarkLargeNAsyncMP512 is the message-passing memory cell: one
+// streaming-certified asynchronous run over 512 processes (Skewed, s = 3,
+// seed 1). Every step broadcasts to all n, so about 14·n² deliveries are
+// pending at once, and its byte ceiling holds the event queue and the
+// message table to the live events. peak-heap-MB is the largest live-heap
+// sample taken every 10 ms.
+func BenchmarkLargeNAsyncMP512(b *testing.B) {
+	spec := core.Spec{S: 3, N: 512}
+	m := timing.NewAsynchronousMP(10, 28)
+	rs := new(core.RunScratch)
+	stop := sampleHeapPeak()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := core.RunMPStream(context.Background(), async.NewMP(), spec, m, timing.Skewed,
+			1, rs, core.StreamOptions{MaxSteps: 50_000_000})
+		if err != nil {
+			stop()
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(rep.NumSteps), "steps")
+	}
+	b.ReportMetric(stop(), "peak-heap-MB")
+}
+
+// sampleHeapPeak samples the bytes in heap objects every 10 ms until the
+// returned stop is called, which returns the largest sample in MB.
+func sampleHeapPeak() (stop func() float64) {
+	done := make(chan struct{})
+	peak := make(chan uint64)
+	go func() {
+		s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		var top uint64
+		for {
+			metrics.Read(s)
+			top = max(top, s[0].Value.Uint64())
+			select {
+			case <-done:
+				peak <- top
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	return func() float64 {
+		close(done)
+		return float64(<-peak) / (1 << 20)
+	}
 }
 
 // --- Sweep experiments (F1-F3) ----------------------------------------------

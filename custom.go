@@ -1,6 +1,8 @@
 package sessionproblem
 
 import (
+	"fmt"
+
 	"sessionproblem/internal/check"
 	"sessionproblem/internal/core"
 	"sessionproblem/internal/fault"
@@ -206,8 +208,8 @@ type Envelope struct {
 // WithDelayBounds). The sporadic message-passing upper bound depends on γ,
 // the largest step time of a concrete computation — supply it with
 // WithGamma (Solve reports it as Report.Gamma). An instance the formulas
-// cannot evaluate is an error: s or n below 1, or b below 2 in a cell
-// whose formulas read it.
+// cannot evaluate is an error: s or n below 1, b below 2 in a cell whose
+// formulas read it, or c1 below 1 in a cell whose formulas divide by it.
 func PaperEnvelope(m Model, comm Comm, opts ...Option) (Envelope, error) {
 	cfg := newSettings(opts)
 	c, err := tableCell(m, comm)
@@ -216,6 +218,9 @@ func PaperEnvelope(m Model, comm Comm, opts ...Option) (Envelope, error) {
 	}
 	if err := harness.CheckSpec(cfg.s, cfg.n, cfg.b, c.ReadsB); err != nil {
 		return Envelope{}, err
+	}
+	if c.ReadsC1 && cfg.c1 < 1 {
+		return Envelope{}, fmt.Errorf("sessionproblem: c1 must be >= 1, got %d", cfg.c1)
 	}
 	lower, upper := c.Bounds(cfg.params())
 	return Envelope{Lower: lower, Upper: upper, Unit: c.Unit}, nil

@@ -202,6 +202,11 @@ func TestPaperEnvelopeSpecErrors(t *testing.T) {
 		{sessionproblem.Asynchronous, sessionproblem.SharedMemory, []sessionproblem.Option{sessionproblem.WithAccessBound(1)}, "b must be >= 2, got 1"},
 		{sessionproblem.Asynchronous, sessionproblem.SharedMemory, []sessionproblem.Option{sessionproblem.WithSpec(2, 0)}, "n must be >= 1, got 0"},
 		{sessionproblem.Periodic, sessionproblem.MessagePassing, []sessionproblem.Option{sessionproblem.WithSpec(0, 3)}, "s must be >= 1, got 0"},
+		// The semi-synchronous and sporadic formulas divide by c1.
+		{sessionproblem.SemiSynchronous, sessionproblem.SharedMemory, []sessionproblem.Option{sessionproblem.WithStepBounds(0, 10)}, "c1 must be >= 1, got 0"},
+		{sessionproblem.SemiSynchronous, sessionproblem.MessagePassing, []sessionproblem.Option{sessionproblem.WithStepBounds(0, 10)}, "c1 must be >= 1, got 0"},
+		{sessionproblem.Sporadic, sessionproblem.MessagePassing, []sessionproblem.Option{sessionproblem.WithStepBounds(0, 10)}, "c1 must be >= 1, got 0"},
+		{sessionproblem.SemiSynchronous, sessionproblem.MessagePassing, []sessionproblem.Option{sessionproblem.WithStepBounds(-1, 10)}, "c1 must be >= 1, got -1"},
 		// The synchronous SM formulas do not read b.
 		{sessionproblem.Synchronous, sessionproblem.SharedMemory, []sessionproblem.Option{sessionproblem.WithAccessBound(0)}, ""},
 		{sessionproblem.Periodic, sessionproblem.MessagePassing, []sessionproblem.Option{sessionproblem.WithAccessBound(1)}, ""},
@@ -222,6 +227,24 @@ func TestPaperEnvelopeSpecErrors(t *testing.T) {
 		sessionproblem.WithAccessBound(0))
 	if want := (sessionproblem.Envelope{Lower: 60, Upper: 60, Unit: "time"}); err != nil || env != want {
 		t.Errorf("synchronous SM at b=0: %+v, %v; want %+v", env, err, want)
+	}
+	// The cells whose formulas never divide by c1 still evaluate at c1 = 0.
+	for _, tc := range []struct {
+		m    sessionproblem.Model
+		comm sessionproblem.Comm
+		want sessionproblem.Envelope
+	}{
+		{sessionproblem.Synchronous, sessionproblem.SharedMemory, sessionproblem.Envelope{Lower: 60, Upper: 60, Unit: "time"}},
+		{sessionproblem.Synchronous, sessionproblem.MessagePassing, sessionproblem.Envelope{Lower: 60, Upper: 60, Unit: "time"}},
+		{sessionproblem.Periodic, sessionproblem.SharedMemory, sessionproblem.Envelope{Lower: 60, Upper: 320, Unit: "time"}},
+		{sessionproblem.Periodic, sessionproblem.MessagePassing, sessionproblem.Envelope{Lower: 60, Upper: 88, Unit: "time"}},
+		{sessionproblem.Asynchronous, sessionproblem.SharedMemory, sessionproblem.Envelope{Lower: 5, Upper: 158, Unit: "rounds"}},
+		{sessionproblem.Asynchronous, sessionproblem.MessagePassing, sessionproblem.Envelope{Lower: 140, Upper: 200, Unit: "time"}},
+	} {
+		env, err := sessionproblem.PaperEnvelope(tc.m, tc.comm, sessionproblem.WithStepBounds(0, 10))
+		if err != nil || env != tc.want {
+			t.Errorf("%s/%s at c1=0: %+v, %v; want %+v", tc.m, tc.comm, env, err, tc.want)
+		}
 	}
 }
 

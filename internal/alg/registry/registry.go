@@ -45,6 +45,9 @@ type Cell struct {
 	// ReadsB reports that the formulas read the access bound b, which they
 	// need to be at least 2.
 	ReadsB bool
+	// ReadsC1 reports that the formulas divide by the step bound c1, which
+	// they need to be at least 1.
+	ReadsC1 bool
 	// ReadsGamma reports that the upper bound reads p.Gamma, the largest
 	// step time of a computation (Theorem 6.1), so it holds per run.
 	ReadsGamma bool
@@ -89,13 +92,13 @@ var table = [...]Cell{
 		MP: periodic.NewMP(), Bounds: both(bounds.PeriodicMPL, bounds.PeriodicMPU),
 		Timing: func(p bounds.Params, _ sim.Duration) timing.Model { return timing.NewPeriodic(p.Cmin, p.Cmax, p.D2) }},
 	{Name: "semisync", Row: "semi-synchronous", Comm: "SM", Unit: "time", Kind: timing.SemiSynchronous,
-		SM: semisync.NewSM(semisync.Auto), Bounds: both(bounds.SemiSyncSML, bounds.SemiSyncSMU), ReadsB: true,
+		SM: semisync.NewSM(semisync.Auto), Bounds: both(bounds.SemiSyncSML, bounds.SemiSyncSMU), ReadsB: true, ReadsC1: true,
 		Timing: func(p bounds.Params, _ sim.Duration) timing.Model { return timing.NewSemiSynchronous(p.C1, p.C2, 0) }},
 	{Name: "semisync", Row: "semi-synchronous", Comm: "MP", Unit: "time", Kind: timing.SemiSynchronous,
-		MP: semisync.NewMP(semisync.Auto), Bounds: both(bounds.SemiSyncMPL, bounds.SemiSyncMPU),
+		MP: semisync.NewMP(semisync.Auto), Bounds: both(bounds.SemiSyncMPL, bounds.SemiSyncMPU), ReadsC1: true,
 		Timing: func(p bounds.Params, _ sim.Duration) timing.Model { return timing.NewSemiSynchronous(p.C1, p.C2, p.D2) }},
 	{Name: "sporadic", Row: "sporadic", Comm: "MP", Unit: "time", Kind: timing.Sporadic,
-		MP: sporadic.NewMP(), Bounds: both(bounds.SporadicMPL, bounds.SporadicMPU), ReadsGamma: true,
+		MP: sporadic.NewMP(), Bounds: both(bounds.SporadicMPL, bounds.SporadicMPU), ReadsC1: true, ReadsGamma: true,
 		Timing: func(p bounds.Params, gapCap sim.Duration) timing.Model {
 			return timing.NewSporadic(p.C1, p.D1, p.D2, gapCap)
 		}},

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"sessionproblem/internal/arena"
@@ -51,20 +52,88 @@ type System struct {
 }
 
 // Scratch holds the buffers the executor grows during a run and never
-// hands out: the event queue, the per-process message buffers with their
-// freelist, the per-process bookkeeping and the tick batch. Reusing a
-// Scratch across runs recycles that capacity, so steady-state execution
-// allocates only what the Result owns and what the algorithm itself
-// allocates. A scratch holds capacity only: every slice a Result returns
-// (the trace, its access records, Delays, IdleAt, Crashed) is allocated by
-// its own run.
+// hands out: the event queue, the message table, the per-process message
+// buffers with their freelist, the per-process bookkeeping and the tick
+// batch. Reusing a Scratch across runs recycles that capacity, so
+// steady-state execution allocates only what the Result owns and what the
+// algorithm itself allocates. A scratch holds capacity only: every slice a
+// Result returns (the trace, its access records, Delays, IdleAt, Crashed) is
+// allocated by its own run, and no message body outlives the run.
 type Scratch struct {
 	queue    sim.Queue
+	msgs     msgTable
 	buffers  [][]Message
 	free     arena.Freelist[Message]
 	idleMark []bool
 	portIdx  []int       // proc -> port index, -1 = none
 	batch    []sim.Event // tick-batch scratch for the dispatch loop
+}
+
+// msgTable holds one entry per broadcast whose deliveries are still in the
+// queue; a delivery event names its entry by sim.Event.Msg. An entry is
+// reused once its last pushed delivery (duplicates included) has been
+// popped, so the table holds the broadcasts in flight, not every broadcast
+// of the run.
+type msgTable struct {
+	entries []msgEntry
+	free    []int32 // indices of released entries
+}
+
+type msgEntry struct {
+	Message
+	pending int // deliveries of this broadcast still queued
+}
+
+// errTableFull reports a message table whose next index would not fit the
+// event's int32 handle.
+var errTableFull = errors.New("mp: more than 2^31 broadcasts in flight")
+
+// msgIndex converts the table length to the next entry's index.
+func msgIndex(n int) (int32, error) {
+	if n > math.MaxInt32 {
+		return 0, errTableFull
+	}
+	return int32(n), nil
+}
+
+// add stores a broadcast with no delivery pending yet and returns its index.
+func (t *msgTable) add(m Message) (int32, error) {
+	if n := len(t.free); n > 0 {
+		i := t.free[n-1]
+		t.free = t.free[:n-1]
+		t.entries[i] = msgEntry{Message: m}
+		return i, nil
+	}
+	i, err := msgIndex(len(t.entries))
+	if err != nil {
+		return 0, err
+	}
+	t.entries = append(t.entries, msgEntry{Message: m})
+	return i, nil
+}
+
+// take returns entry i's message for one popped delivery, releasing the
+// entry after its last one.
+func (t *msgTable) take(i int32) Message {
+	e := &t.entries[i]
+	m := e.Message
+	if e.pending--; e.pending == 0 {
+		t.release(i)
+	}
+	return m
+}
+
+// release drops entry i's body and makes the index reusable.
+func (t *msgTable) release(i int32) {
+	t.entries[i] = msgEntry{}
+	t.free = append(t.free, i)
+}
+
+// reset empties the table, dropping every body, and keeps its capacity.
+func (t *msgTable) reset() {
+	clear(t.entries)
+	t.entries = t.entries[:0]
+	t.free = t.free[:0]
 }
 
 // Options tune an execution.
@@ -191,29 +260,8 @@ func (sc *Scratch) prepare(sys *System, opts *Options) {
 	if opts.WindowHint > 0 {
 		sc.queue.SetWindow(opts.WindowHint)
 	}
-
-	if cap(sc.buffers) >= n {
-		// Recycle per-process buffer capacity through the freelist so a
-		// shrinking process count doesn't strand backing arrays.
-		old := sc.buffers[:cap(sc.buffers)]
-		for i := range old {
-			if i >= n && old[i] != nil {
-				sc.free.Put(old[i])
-				old[i] = nil
-			}
-		}
-		sc.buffers = old[:n]
-		for i := range sc.buffers {
-			if sc.buffers[i] != nil {
-				buf := sc.buffers[i]
-				clear(buf)
-				sc.buffers[i] = buf[:0]
-			}
-		}
-	} else {
-		sc.buffers = make([][]Message, n)
-	}
-
+	// release left every buffer slot nil, the ones past n included.
+	sc.buffers = arena.Resize(sc.buffers, n)
 	sc.idleMark = arena.Resize(sc.idleMark, n)
 	sc.portIdx = arena.Resize(sc.portIdx, n)
 	for i := 0; i < n; i++ {
@@ -222,6 +270,20 @@ func (sc *Scratch) prepare(sys *System, opts *Options) {
 	}
 	for i, pp := range sys.PortProcs {
 		sc.portIdx[pp] = i // last binding wins, like the old map
+	}
+}
+
+// release ends a run, failed or not: the message table and every buffered
+// message are dropped, and the buffers' capacity goes to the freelist, so
+// the scratch keeps no body alive.
+func (sc *Scratch) release(batch []sim.Event) {
+	sc.batch = batch[:0]
+	sc.msgs.reset()
+	for i, buf := range sc.buffers {
+		if buf != nil {
+			sc.free.Put(buf)
+			sc.buffers[i] = nil
+		}
 	}
 }
 
@@ -294,10 +356,7 @@ func RunContext(ctx context.Context, sys *System, sched Scheduler, opts Options)
 	// tick being drained (zero-delay deliveries under asynchronous models),
 	// so the executed order is identical to a pop-one-at-a-time loop.
 	batch := sc.batch[:0]
-	defer func() {
-		clear(batch) // release message-body references
-		sc.batch = batch[:0]
-	}()
+	defer func() { sc.release(batch) }()
 	var now sim.Time
 dispatch:
 	for q.Len() > 0 {
@@ -326,7 +385,7 @@ dispatch:
 				if buf == nil {
 					buf = sc.free.Get()
 				}
-				sc.buffers[dst] = append(buf, Message{From: ev.Src, Body: ev.Body})
+				sc.buffers[dst] = append(buf, sc.msgs.take(ev.Msg))
 				st := model.Step{
 					Index: recorded,
 					Proc:  model.NetworkProc,
@@ -430,6 +489,11 @@ dispatch:
 
 				if body != nil {
 					res.MessagesSent++
+					mi, err := sc.msgs.add(Message{From: p, Body: body})
+					if err != nil {
+						return nil, err
+					}
+					msg := &sc.msgs.entries[mi]
 					for dst := 0; dst < n; dst++ {
 						sendCounter++
 						if opts.DropEvery > 0 && sendCounter%opts.DropEvery == 0 {
@@ -457,13 +521,8 @@ dispatch:
 							delay += eff.Delay
 						}
 						at := ev.At.Add(delay)
-						q.Push(sim.Event{
-							At:   at,
-							Kind: sim.KindDelivery,
-							Proc: dst,
-							Src:  p,
-							Body: body,
-						})
+						q.Push(sim.Event{At: at, Kind: sim.KindDelivery, Proc: dst, Msg: mi})
+						msg.pending++
 						d := timing.MessageDelay{Src: p, Dst: dst, Sent: ev.At, Delivered: at}
 						if !opts.DiscardSteps {
 							res.Delays = append(res.Delays, d)
@@ -477,13 +536,8 @@ dispatch:
 								Kind: fault.MessageDuplicate, At: ev.At, Proc: dst, Src: p,
 								Detail: fmt.Sprintf("second copy delivered at %v", dupAt),
 							})
-							q.Push(sim.Event{
-								At:   dupAt,
-								Kind: sim.KindDelivery,
-								Proc: dst,
-								Src:  p,
-								Body: body,
-							})
+							q.Push(sim.Event{At: dupAt, Kind: sim.KindDelivery, Proc: dst, Msg: mi})
+							msg.pending++
 							dd := timing.MessageDelay{Src: p, Dst: dst, Sent: ev.At, Delivered: dupAt}
 							if !opts.DiscardSteps {
 								res.Delays = append(res.Delays, dd)
@@ -492,6 +546,9 @@ dispatch:
 								opts.DelayObserver.ObserveDelay(dd)
 							}
 						}
+					}
+					if msg.pending == 0 {
+						sc.msgs.release(mi) // every copy was dropped
 					}
 				}
 

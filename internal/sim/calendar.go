@@ -46,28 +46,46 @@ type CalendarQueue struct {
 	seq     uint64
 	over    []Event   // min-heap on At: events at or beyond cur+window
 	spare   []Event   // rebase/sort scratch, kept to avoid slow-path allocation
+	arrays  [][]Event // drained bucket arrays larger than a chunk, reused before append grows one
+	chunks  [][]Event // carved chunks given back by buckets that outgrew them
 	blocks  [][]Event // pooled blocks carved into bucket capacity chunks
 	bi, bo  int       // carve cursor into blocks: block index, offset
 	cnt     []int32   // counting-sort histogram over (Kind, Proc) keys
 }
 
-// Bucket capacity chunking: an empty bucket's first append would otherwise
-// allocate, and fresh queues touch many buckets (one per distinct tick in
-// the window), turning queue construction into hundreds of tiny allocations.
-// Instead, first-touched buckets get a fixed-size capacity chunk carved from
-// a pooled block, so a fresh run pays one allocation per blockChunks touched
-// buckets; buckets that outgrow their chunk fall back to append's regular
-// doubling. Blocks are retained and the carve cursor rewinds on Reset, so a
-// warm queue re-carves the same memory instead of growing run over run —
-// this matters for overflow-window migration, whose bucketAppend targets
-// drift with the tick pattern and previously stranded chunks on buckets the
-// next run never touched.
+// Bucket storage follows the pending events, not the largest tick a bucket
+// ever held.
+//
+// An empty bucket's first append would otherwise allocate, and fresh queues
+// touch many buckets (one per distinct tick in the window), turning queue
+// construction into hundreds of tiny allocations. Instead, first-touched
+// buckets get a fixed-size capacity chunk carved from a pooled block, so a
+// fresh run pays one allocation per blockChunks touched buckets. Blocks are
+// retained and the carve cursor rewinds on Reset, so a warm queue re-carves
+// the same memory instead of growing run over run.
+//
+// A bucket that outgrows its chunk gives the chunk back (to the chunks list,
+// never to the arrays stack) and moves to a larger array: the top of the
+// arrays stack when that one is larger, else append's regular growth. When a
+// tick drains, its array goes onto the arrays stack for the next bucket that
+// fills. So a window whose ticks take turns holding a broadcast wave
+// circulates a few wave-sized arrays instead of keeping one per bucket.
+//
+// A chunk is recognized by cap == bucketChunk alone (grown arrays have at
+// least twice that), which is how Reset finds the chunks still on buckets
+// before it rewinds the carve cursor. A chunk on the arrays stack would
+// outlive that rewind and be carved a second time.
 const (
 	bucketChunk = 16
 	blockChunks = 16
 )
 
 func (q *CalendarQueue) newChunk() []Event {
+	if n := len(q.chunks); n > 0 {
+		c := q.chunks[n-1]
+		q.chunks = q.chunks[:n-1]
+		return c
+	}
 	if q.bi == len(q.blocks) {
 		q.blocks = append(q.blocks, make([]Event, bucketChunk*blockChunks))
 	}
@@ -81,13 +99,47 @@ func (q *CalendarQueue) newChunk() []Event {
 	return c
 }
 
-// bucketAppend appends ev to bucket idx, seeding empty buckets with a chunk.
+// bucketAppend appends ev to bucket idx.
 func (q *CalendarQueue) bucketAppend(idx Time, ev Event) {
-	b := q.buckets[idx]
-	if cap(b) == 0 {
-		b = q.newChunk()
+	q.buckets[idx] = append(q.room(q.buckets[idx]), ev)
+}
+
+// room returns bucket b, or b moved to a larger array, with capacity for
+// one more event: an empty bucket gets a chunk, and a full one takes the
+// top of the arrays stack when that is larger, else grows as append would.
+func (q *CalendarQueue) room(b []Event) []Event {
+	switch {
+	case len(b) < cap(b):
+		return b
+	case cap(b) == 0:
+		return q.newChunk()
 	}
-	q.buckets[idx] = append(b, ev)
+	var nb []Event
+	if n := len(q.arrays); n > 0 && cap(q.arrays[n-1]) > len(b) {
+		nb = q.arrays[n-1][:len(b)]
+		q.arrays = q.arrays[:n-1]
+		copy(nb, b)
+	} else {
+		nb = slices.Grow(b, 1)
+	}
+	if cap(b) == bucketChunk {
+		q.chunks = append(q.chunks, b[:0])
+	}
+	return nb
+}
+
+// drained empties bucket idx once its tick is consumed and rewinds the
+// drain cursor. An array larger than a chunk goes onto the arrays stack; a
+// chunk stays on its bucket.
+func (q *CalendarQueue) drained(idx Time) {
+	b := q.buckets[idx][:0]
+	if cap(b) > bucketChunk {
+		q.arrays = append(q.arrays, b)
+		b = nil
+	}
+	q.buckets[idx] = b
+	q.pos = 0
+	q.sorted = false
 }
 
 // Push schedules ev. The queue assigns ev.Seq.
@@ -133,7 +185,7 @@ func (q *CalendarQueue) place(ev Event) {
 				hi = mid
 			}
 		}
-		b = append(b, Event{})
+		b = append(q.room(b), Event{})
 		copy(b[lo+1:], b[lo:])
 		b[lo] = ev
 		q.buckets[idx] = b
@@ -156,14 +208,11 @@ func (q *CalendarQueue) Pop() Event {
 		q.sorted = true
 	}
 	ev := b[q.pos]
-	b[q.pos] = Event{} // drop the Body reference
 	q.pos++
 	q.n--
 	q.nb--
 	if q.pos == len(b) {
-		q.buckets[idx] = b[:0]
-		q.pos = 0
-		q.sorted = false
+		q.drained(idx)
 	}
 	return ev
 }
@@ -231,12 +280,9 @@ func (q *CalendarQueue) PopTick(dst []Event) (Time, []Event) {
 	}
 	dst = append(dst, b[q.pos:]...)
 	k := len(b) - q.pos
-	clear(b) // release Body references
-	q.buckets[idx] = b[:0]
 	q.n -= k
 	q.nb -= k
-	q.pos = 0
-	q.sorted = false
+	q.drained(idx)
 	return q.cur, dst
 }
 
@@ -245,27 +291,22 @@ func (q *CalendarQueue) Len() int { return q.n }
 
 // Reset empties the queue and restarts the tie-breaking sequence, keeping
 // the bucket window and every backing array so a reused queue pushes into
-// warm capacity. Pending events are cleared to release Body references.
+// warm capacity.
 //
-// Chunk-backed buckets (cap exactly bucketChunk — grown buckets have at
-// least double that) are detached and their pooled blocks reclaimed by
-// rewinding the carve cursor, so the next run re-carves the same memory no
-// matter which buckets it touches. Without this, overflow migrations and
-// shifting tick patterns strand chunks on buckets a reused queue never
-// revisits, and warm batch reuse grows the pool run over run.
+// Every bucket is detached. Arrays larger than a chunk go onto the arrays
+// stack; chunks (cap exactly bucketChunk) are reclaimed, with the chunks
+// list, by rewinding the carve cursor, so the next run re-carves the same
+// blocks no matter which buckets it touches.
 func (q *CalendarQueue) Reset() {
-	for i := range q.buckets {
-		b := q.buckets[i]
-		clear(b)
-		if cap(b) == bucketChunk {
-			q.buckets[i] = nil
-			continue
+	for i, b := range q.buckets {
+		if cap(b) > bucketChunk {
+			q.arrays = append(q.arrays, b[:0])
 		}
-		q.buckets[i] = b[:0]
+		q.buckets[i] = nil
 	}
+	q.chunks = q.chunks[:0]
 	q.bi = 0
 	q.bo = 0
-	clear(q.over)
 	q.over = q.over[:0]
 	q.cur = 0
 	q.pos = 0
@@ -319,13 +360,9 @@ func (q *CalendarQueue) front() {
 	if q.pos < len(q.buckets[q.cur&q.mask]) {
 		return // still on a live tick
 	}
-	// The front bucket is exhausted (PopTick already truncates, but a pure
-	// Pop drain leaves truncation to the branch in Pop, so this is always a
-	// cheap no-op or a reset of stale state).
-	idx := q.cur & q.mask
-	q.buckets[idx] = q.buckets[idx][:0]
-	q.pos = 0
-	q.sorted = false
+	// The front bucket is exhausted (Pop and PopTick already drain it, so
+	// this is always a cheap no-op or a reset of stale state).
+	q.drained(q.cur & q.mask)
 	if q.nb == 0 {
 		// Everything pending lives in overflow: jump the clock straight to
 		// its minimum instead of scanning empty buckets.
@@ -367,14 +404,12 @@ func (q *CalendarQueue) rebase(to Time) {
 	for i := range q.buckets {
 		b := q.buckets[i]
 		if Time(i) == front {
-			b = b[q.pos:] // skip the consumed (zeroed) prefix
+			b = b[q.pos:] // skip the consumed prefix
 		}
 		tmp = append(tmp, b...)
-		clear(q.buckets[i])
 		q.buckets[i] = q.buckets[i][:0]
 	}
 	tmp = append(tmp, q.over...)
-	clear(q.over)
 	q.over = q.over[:0]
 	q.cur = to
 	q.pos = 0
@@ -383,7 +418,6 @@ func (q *CalendarQueue) rebase(to Time) {
 	for i := range tmp {
 		q.place(tmp[i])
 	}
-	clear(tmp)
 	q.spare = tmp[:0]
 }
 
@@ -408,7 +442,6 @@ func (q *CalendarQueue) overPop() Event {
 	ev := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = Event{}
 	q.over = h[:n]
 	i := 0
 	for {
@@ -449,11 +482,11 @@ const maxCountProc = 4096
 
 // countingSort is the same-tick sort for the executor workloads:
 // multi-sender delivery waves interleave destination-ordered runs, which is
-// a worst case for a comparison sort (O(m log m) swaps of 64-byte events
-// with write barriers for the Body pointer) but a single stable scatter
-// pass here. Scatter preserves slice order inside each (Kind, Proc) group;
-// that is Seq order for bucket appends, and the final fixup pass repairs
-// the rare groups that a rebase or an overflow migration left out of order.
+// a worst case for a comparison sort (O(m log m) swaps of 32-byte events)
+// but a single stable scatter pass here. Scatter preserves slice order
+// inside each (Kind, Proc) group; that is Seq order for bucket appends, and
+// the final fixup pass repairs the rare groups that a rebase or an overflow
+// migration left out of order.
 func (q *CalendarQueue) countingSort(evs []Event) {
 	maxProc := 0
 	for i := range evs {
@@ -495,8 +528,6 @@ func (q *CalendarQueue) countingSort(evs []Event) {
 		cnt[k]++
 	}
 	copy(evs, tmp)
-	clear(tmp) // release Body references held by the scratch
-	q.spare = q.spare[:0]
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Kind == evs[i-1].Kind && evs[i].Proc == evs[i-1].Proc && evs[i].Seq < evs[i-1].Seq {
 			ev := evs[i]

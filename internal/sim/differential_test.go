@@ -80,7 +80,7 @@ func runDifferential(t *testing.T, data []byte) {
 	d := &diffPair{t: t}
 	d.cal.SetWindow(1) // clamps to the 64-tick minimum: smallest legal window
 	var scratch []Event
-	bodyID := 0
+	var msg int32
 	next := func(i int) byte {
 		if i < len(data) {
 			return data[i]
@@ -93,13 +93,12 @@ func runDifferential(t *testing.T, data []byte) {
 		switch op {
 		case 0, 1, 2: // bounded-increment push (the executors' contract)
 			inc := Duration(arg % 96) // up to 1.5x the 64-tick window: exercises overflow
-			bodyID++
+			msg++
 			d.push(Event{
 				At:   d.now.Add(inc),
 				Kind: EventKind(arg%2) + 1,
 				Proc: int(arg % 5),
-				Src:  int(arg % 3),
-				Body: bodyID,
+				Msg:  msg,
 			})
 			i++
 		case 3: // pop one
@@ -107,8 +106,8 @@ func runDifferential(t *testing.T, data []byte) {
 		case 4: // batch-drain a whole tick
 			scratch = d.popTick(scratch)
 		case 5: // same-tick push while the tick is current, then observe it
-			bodyID++
-			d.push(Event{At: d.now, Kind: EventKind(arg%2) + 1, Proc: int(arg % 7), Body: bodyID})
+			msg++
+			d.push(Event{At: d.now, Kind: EventKind(arg%2) + 1, Proc: int(arg % 7), Msg: msg})
 			d.peekAt(d.now)
 			i++
 		case 6: // peeks are pure: interleave them freely
@@ -120,8 +119,8 @@ func runDifferential(t *testing.T, data []byte) {
 				d.heap.Reset()
 				d.now = 0
 			} else if arg%4 == 0 && d.now > 4 { // rare: non-monotone push (rebase)
-				bodyID++
-				d.push(Event{At: d.now - 3, Kind: KindStep, Proc: int(arg % 5), Body: bodyID})
+				msg++
+				d.push(Event{At: d.now - 3, Kind: KindStep, Proc: int(arg % 5), Msg: msg})
 			} else {
 				d.pop()
 			}
@@ -175,7 +174,7 @@ func TestQueueDifferentialSameTickTies(t *testing.T) {
 		at := Time(wave * 7)
 		for src := 0; src < 4; src++ {
 			for dst := 0; dst < 4; dst++ {
-				d.push(Event{At: at, Kind: KindDelivery, Proc: dst, Src: src, Body: src*10 + dst})
+				d.push(Event{At: at, Kind: KindDelivery, Proc: dst, Msg: int32(src*10 + dst)})
 			}
 			d.push(Event{At: at, Kind: KindStep, Proc: src})
 		}
@@ -196,7 +195,7 @@ func TestQueueOverflowMigration(t *testing.T) {
 	// striped mix of near and far events.
 	for i := 0; i < 200; i++ {
 		inc := Duration(i%5) * 37 // 0, 37, 74, 111, 148: mostly beyond the window
-		d.push(Event{At: d.now.Add(inc), Kind: KindStep, Proc: i % 6, Body: i})
+		d.push(Event{At: d.now.Add(inc), Kind: KindStep, Proc: i % 6, Msg: int32(i)})
 		if i%3 == 0 {
 			d.pop()
 		}

@@ -5,7 +5,7 @@ package sim
 // a message delivered "at" time t is visible to a step taken at time t. This
 // matches the paper's convention that message delay counts only transit time
 // and buffer residence is free.
-type EventKind int
+type EventKind int32
 
 // Event kinds, in same-tick execution order.
 const (
@@ -15,19 +15,20 @@ const (
 
 // Event is a scheduled occurrence in virtual time. Proc identifies the
 // process taking a step (KindStep) or the destination process (KindDelivery).
+// Msg is an executor-owned handle on a delivery's payload (the message
+// package keeps a per-run table and a delivery names its entry); the queue
+// never reads it, and step events leave it zero.
 //
-// Src and Body carry the delivery payload inline: the sending process and
-// the executor-owned message body. Keeping them as plain fields — rather
-// than behind a boxed payload interface — means Push copies an already
-// constructed interface header and never allocates. Step events leave both
-// at their zero values.
+// The layout is 32 bytes with no pointer field: bucket arrays are never
+// scanned by the garbage collector, and copying an event needs no write
+// barrier. A message-passing run keeps Θ(n²) deliveries pending, so the
+// event size is what its memory follows.
 type Event struct {
 	At   Time
-	Kind EventKind
-	Proc int
 	Seq  uint64 // assigned by the queue; breaks remaining ties FIFO
-	Src  int
-	Body any
+	Proc int
+	Kind EventKind
+	Msg  int32
 }
 
 // SameTickLess reports whether a orders before b among events scheduled at
@@ -77,7 +78,6 @@ func (q *HeapQueue) Pop() Event {
 	ev := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = Event{} // drop the Body reference so the slot doesn't retain it
 	q.h = h[:n]
 	if n > 1 {
 		q.siftDown(0)
@@ -153,10 +153,8 @@ func MergeSameTick(q *Queue, now Time, batch []Event, bi int) []Event {
 func (q *HeapQueue) Len() int { return len(q.h) }
 
 // Reset empties the queue and restarts the tie-breaking sequence, keeping
-// the backing array so a reused queue pushes into warm capacity. Pending
-// events are cleared to release their Body references.
+// the backing array so a reused queue pushes into warm capacity.
 func (q *HeapQueue) Reset() {
-	clear(q.h)
 	q.h = q.h[:0]
 	q.seq = 0
 }

@@ -245,21 +245,20 @@ func TestQueueOrdering(t *testing.T) {
 func TestQueueFIFOWithinTies(t *testing.T) {
 	var q Queue
 	for i := 0; i < 10; i++ {
-		q.Push(Event{At: 1, Kind: KindStep, Proc: 0, Body: i})
+		q.Push(Event{At: 1, Kind: KindStep, Proc: 0, Msg: int32(i)})
 	}
 	for i := 0; i < 10; i++ {
 		ev := q.Pop()
-		if ev.Body.(int) != i {
-			t.Fatalf("tie order broken: got %v at pop %d", ev.Body, i)
+		if ev.Msg != int32(i) {
+			t.Fatalf("tie order broken: got %v at pop %d", ev.Msg, i)
 		}
 	}
 }
 
 func TestQueueResetKeepsCapacityAndRestartsSeq(t *testing.T) {
 	var q Queue
-	body := any("payload")
 	for i := 0; i < 100; i++ {
-		q.Push(Event{At: Time(i), Kind: KindDelivery, Proc: 0, Body: body})
+		q.Push(Event{At: Time(i), Kind: KindDelivery, Proc: 0, Msg: 1})
 	}
 	q.Reset()
 	if q.Len() != 0 {
@@ -274,7 +273,7 @@ func TestQueueResetKeepsCapacityAndRestartsSeq(t *testing.T) {
 	q.Reset()
 	allocs := testing.AllocsPerRun(20, func() {
 		for i := 0; i < 100; i++ {
-			q.Push(Event{At: Time(i), Kind: KindDelivery, Proc: 0, Body: body})
+			q.Push(Event{At: Time(i), Kind: KindDelivery, Proc: 0, Msg: 1})
 		}
 		q.Reset()
 	})
@@ -284,15 +283,14 @@ func TestQueueResetKeepsCapacityAndRestartsSeq(t *testing.T) {
 }
 
 // The queue's steady-state contract: once the backing array has grown to
-// the run's high-water mark, pushing and popping events — including events
-// carrying a pre-boxed Body — performs zero allocations per event.
+// the run's high-water mark, pushing and popping events performs zero
+// allocations per event.
 func TestQueueSteadyStateAllocFree(t *testing.T) {
 	var q Queue
-	body := any(42) // boxed once, outside the measured region
 	q.Reserve(256)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 256; i++ {
-			q.Push(Event{At: Time(i % 17), Kind: KindDelivery, Proc: i % 5, Src: i % 3, Body: body})
+			q.Push(Event{At: Time(i % 17), Kind: KindDelivery, Proc: i % 5, Msg: int32(i % 3)})
 		}
 		for q.Len() > 0 {
 			q.Pop()

@@ -404,10 +404,7 @@ func RunContext(ctx context.Context, sys *System, sched Scheduler, opts Options)
 	// (zero-gap custom schedulers, adversary constructions), so the executed
 	// order is identical to a pop-one-at-a-time loop.
 	batch := sc.batch[:0]
-	defer func() {
-		clear(batch)
-		sc.batch = batch[:0]
-	}()
+	defer func() { sc.batch = batch[:0] }()
 	var now sim.Time
 dispatch:
 	for q.Len() > 0 {
