@@ -484,7 +484,7 @@ func BenchmarkAblationSemiSyncChoice(b *testing.B) {
 
 func BenchmarkExhaustiveExplore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := explore.ExhaustiveSM(explore.SMConfig{
+		res, err := explore.ExhaustiveSM(context.Background(), explore.SMConfig{
 			Alg:        periodic.NewSM(),
 			Spec:       core.Spec{S: 2, N: 2, B: 2},
 			Model:      timing.NewPeriodic(2, 8, 0),
@@ -503,7 +503,7 @@ func BenchmarkScheduleSearch(b *testing.B) {
 	spec := core.Spec{S: 3, N: 3}
 	m := timing.NewSporadic(2, 4, 28, 8)
 	for i := 0; i < b.N; i++ {
-		if _, err := search.SlowestMP(sporadic.NewMP(), spec, m,
+		if _, err := search.SlowestMP(context.Background(), sporadic.NewMP(), spec, m,
 			[]sim.Duration{2, 8}, []sim.Duration{4, 28},
 			search.Options{Seed: uint64(i) + 1, Restarts: 2, Steps: 20}); err != nil {
 			b.Fatal(err)

@@ -131,7 +131,13 @@ func run(args []string) error {
 	}
 	if want("f5") {
 		ran = true
-		pts, err := harness.SweepDiameter(ctx, 3, 8, 3, 10, e.Seeds, e.Topologies()...)
+		const hop = 10
+		pts, err := harness.Sweep(ctx, harness.SweepSpec{
+			Kind: harness.SweepKindNetworkDiameter,
+			S:    3, N: 8, C2: 3, D2: hop,
+			Seeds: e.Seeds, Topologies: e.Topologies(),
+			Engine: eng, NoSeedBatch: !e.SeedBatching,
+		})
 		if err != nil {
 			return err
 		}
@@ -140,7 +146,7 @@ func run(args []string) error {
 		fmt.Println("TOPOLOGY   DIAM  D2_EFF  MEASURED  PAPER U((s-1)(d2_eff+c2)+c2)")
 		for _, p := range pts {
 			fmt.Printf("%-10s %-5d %-7v %-9.0f %.0f\n",
-				p.Topology, p.Diameter, p.EffectiveD2, p.Measured, p.PaperUpper)
+				p.Label, int(p.X), sim.Duration(p.X)*hop, p.Measured, p.PaperUpper)
 		}
 		fmt.Println("  claim: d2 subsumes the diameter factor (paper Section 1, conversion note 1)")
 		fmt.Println()
@@ -187,7 +193,7 @@ func run(args []string) error {
 	}
 	if want("tight") {
 		ran = true
-		rows, err := harness.Tightness(harness.Default())
+		rows, err := harness.Tightness(ctx, harness.Default())
 		if err != nil {
 			return err
 		}

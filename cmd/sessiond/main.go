@@ -296,7 +296,6 @@ func (s *server) options(rq request) []sessionproblem.Option {
 		sessionproblem.WithDelayBounds(rq.D1, rq.D2),
 		sessionproblem.WithSeeds(rq.Seeds),
 		sessionproblem.WithParallelism(s.parallelism),
-		sessionproblem.WithTimeout(s.timeout),
 		sessionproblem.WithRunCache(s.cache()),
 		sessionproblem.WithSweepSteps(rq.Steps),
 		sessionproblem.WithMaxSessions(rq.MaxSessions),
@@ -371,9 +370,11 @@ func (s *server) analysis(run func(context.Context, request, []sessionproblem.Op
 			return
 		}
 		opts = append(opts, jopts...)
+		ctx, cancel := s.requestContext(r)
+		defer cancel()
 
 		if r.URL.Query().Get("stream") == "" {
-			data, err := run(r.Context(), rq, opts)
+			data, err := run(ctx, rq, opts)
 			if err != nil {
 				writeError(w, errStatus(err), err)
 				return
@@ -390,13 +391,22 @@ func (s *server) analysis(run func(context.Context, request, []sessionproblem.Op
 		w.WriteHeader(http.StatusOK)
 		sw := &streamWriter{w: w}
 		opts = append(opts, sessionproblem.WithObserver(sw.observe))
-		data, err := run(r.Context(), rq, opts)
+		data, err := run(ctx, rq, opts)
 		if err != nil {
 			sw.writeLine(map[string]any{"v": wire.Version, "kind": "error", "error": err.Error()})
 			return
 		}
 		sw.writeRaw(append(data, '\n'))
 	}
+}
+
+// requestContext bounds a request's context by -timeout: a client that
+// disconnects, or a request that runs past the bound, cancels its runs.
+func (s *server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
+	if s.timeout > 0 {
+		return context.WithTimeout(r.Context(), s.timeout)
+	}
+	return context.WithCancel(r.Context())
 }
 
 // streamWriter serializes NDJSON lines onto one response. The observer is

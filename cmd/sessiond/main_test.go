@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sessionproblem"
 	"sessionproblem/wire"
@@ -275,6 +276,8 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/sweep", `{"kind":"sporadic-delay","seeds":-1}`, http.StatusUnprocessableEntity},
 		{"/v1/table1", `{"s":2,"n":2,"b":1}`, http.StatusUnprocessableEntity},
 		{"/v1/table1", `{"s":2,"n":0}`, http.StatusUnprocessableEntity},
+		// The semi-synchronous and sporadic bounds divide by c1.
+		{"/v1/table1", `{"s":2,"n":2,"seeds":1,"c1":0}`, http.StatusUnprocessableEntity},
 		// One JSON object per body: anything but whitespace after it is
 		// rejected before any run starts.
 		{"/v1/table1", `{"s":2,"n":2,"seeds":1}garbage`, http.StatusBadRequest},
@@ -293,6 +296,21 @@ func TestBadRequests(t *testing.T) {
 		if err := json.Unmarshal(data, &e); err != nil || e.Kind != "error" || e.Error == "" {
 			t.Errorf("POST %s %s: malformed error body %s", tc.path, tc.body, data)
 		}
+	}
+}
+
+// TestRequestTimeoutIs504: -timeout bounds every request's context, so a
+// request that outlives it is cancelled and answered 504.
+func TestRequestTimeoutIs504(t *testing.T) {
+	srv, err := newServer("", "", 0, time.Nanosecond)
+	if err != nil {
+		t.Fatalf("newServer: %v", err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	status, data := post(t, ts, "/v1/table1", smallBody)
+	if status != http.StatusGatewayTimeout || !strings.Contains(string(data), "context deadline exceeded") {
+		t.Errorf("request under a 1ns -timeout: status %d (%s), want 504 with the deadline", status, data)
 	}
 }
 

@@ -89,9 +89,11 @@ func run(args []string) error {
 		return runWithTrace(p, e, c, *strategyName, *seed, *showTrace, *showTimeline, *traceJSON)
 	}
 
+	ctx, cancel := e.Context(context.Background())
+	defer cancel()
 	opts := append(cmdflags.Options(p, e),
 		sessionproblem.WithSchedule(*strategyName, *seed))
-	rep, err := sessionproblem.Solve(context.Background(),
+	rep, err := sessionproblem.Solve(ctx,
 		sessionproblem.Model(*algName), sessionproblem.Comm(*comm), opts...)
 	if err != nil {
 		return err

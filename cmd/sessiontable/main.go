@@ -65,12 +65,14 @@ func run(args []string) error {
 		return err
 	}
 
+	ctx, cancel := e.Context(context.Background())
+	defer cancel()
 	if *asJSON {
 		if *grid || *asCSV {
 			return fmt.Errorf("-json cannot combine with -grid or -csv")
 		}
 		opts := append(cmdflags.Options(p, e), j.Options()...)
-		res, err := sessionproblem.Table1(context.Background(), opts...)
+		res, err := sessionproblem.Table1(ctx, opts...)
 		if err != nil {
 			return err
 		}
@@ -82,8 +84,6 @@ func run(args []string) error {
 		return nil
 	}
 
-	ctx, cancel := e.Context(context.Background())
-	defer cancel()
 	eng, closeJournal, err := e.Engine(j)
 	if err != nil {
 		return err

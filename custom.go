@@ -1,8 +1,6 @@
 package sessionproblem
 
 import (
-	"fmt"
-
 	"sessionproblem/internal/check"
 	"sessionproblem/internal/core"
 	"sessionproblem/internal/fault"
@@ -219,8 +217,10 @@ func PaperEnvelope(m Model, comm Comm, opts ...Option) (Envelope, error) {
 	if err := harness.CheckSpec(cfg.s, cfg.n, cfg.b, c.ReadsB); err != nil {
 		return Envelope{}, err
 	}
-	if c.ReadsC1 && cfg.c1 < 1 {
-		return Envelope{}, fmt.Errorf("sessionproblem: c1 must be >= 1, got %d", cfg.c1)
+	if c.ReadsC1 {
+		if err := harness.CheckC1(cfg.c1); err != nil {
+			return Envelope{}, err
+		}
 	}
 	lower, upper := c.Bounds(cfg.params())
 	return Envelope{Lower: lower, Upper: upper, Unit: c.Unit}, nil

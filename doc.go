@@ -9,15 +9,16 @@
 // The root package is the public API: Table1, Hierarchy, Sweep and Solve
 // regenerate the paper's evaluation artifacts on a parallel execution
 // engine, configured with functional options (WithSpec, WithSeeds,
-// WithParallelism, WithTimeout, WithObserver, ...). The run matrix fans
-// across GOMAXPROCS workers with index-addressed results, so output is
-// byte-identical at any parallelism level, and context cancellation reaches
-// into every in-flight simulation.
+// WithParallelism, WithObserver, ...). The run matrix fans across
+// GOMAXPROCS workers with index-addressed results, so output is
+// byte-identical at any parallelism level, and the ctx's cancellation or
+// deadline reaches into every in-flight simulation.
 //
+//	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+//	defer cancel()
 //	res, err := sessionproblem.Table1(ctx,
 //	    sessionproblem.WithSpec(6, 8),
-//	    sessionproblem.WithParallelism(8),
-//	    sessionproblem.WithTimeout(30*time.Second))
+//	    sessionproblem.WithParallelism(8))
 //
 // The implementation lives under internal/; see the README for the package
 // map, the cmd/ tools for the Table-1 and sweep reproductions, and

@@ -96,7 +96,7 @@ func SM(alg core.SMAlgorithm, opts SMOptions) *Report {
 
 	// 2. Exhaustive verification.
 	if len(opts.ExhaustiveGaps) > 0 {
-		res, err := explore.ExhaustiveSM(explore.SMConfig{
+		res, err := explore.ExhaustiveSM(context.TODO(), explore.SMConfig{
 			Alg: alg, Spec: opts.Spec, Model: opts.Model,
 			GapChoices: opts.ExhaustiveGaps,
 		})
@@ -105,9 +105,9 @@ func SM(alg core.SMAlgorithm, opts SMOptions) *Report {
 			rep.add("exhaustive schedules", false, err.Error())
 		case !res.OK():
 			v := res.Violations[0]
-			rep.add("exhaustive schedules", false,
+			rep.add("exhaustive schedules", false, withErr(
 				fmt.Sprintf("%d schedules, violation with %d sessions (digits %v)",
-					res.Explored, v.Sessions, v.Digits))
+					res.Explored, v.Sessions, v.Digits), v.Err))
 		default:
 			rep.add("exhaustive schedules", true,
 				fmt.Sprintf("%d schedules, min sessions %d, worst finish %v",
@@ -199,7 +199,7 @@ func MP(alg core.MPAlgorithm, opts MPOptions) *Report {
 			len(timing.AllStrategies()), seeds, worst)))
 
 	if len(opts.ExhaustiveGaps) > 0 {
-		res, err := explore.ExhaustiveMP(explore.MPConfig{
+		res, err := explore.ExhaustiveMP(context.TODO(), explore.MPConfig{
 			Alg: alg, Spec: opts.Spec, Model: opts.Model,
 			GapChoices:   opts.ExhaustiveGaps,
 			DelayChoices: opts.ExhaustiveDelays,
@@ -210,8 +210,8 @@ func MP(alg core.MPAlgorithm, opts MPOptions) *Report {
 			rep.add("exhaustive schedules", false, err.Error())
 		case !res.OK():
 			v := res.Violations[0]
-			rep.add("exhaustive schedules", false,
-				fmt.Sprintf("%d schedules, violation with %d sessions", res.Explored, v.Sessions))
+			rep.add("exhaustive schedules", false, withErr(
+				fmt.Sprintf("%d schedules, violation with %d sessions", res.Explored, v.Sessions), v.Err))
 		default:
 			rep.add("exhaustive schedules", true,
 				fmt.Sprintf("%d schedules, min sessions %d, worst finish %v",
@@ -235,6 +235,15 @@ func MP(alg core.MPAlgorithm, opts MPOptions) *Report {
 		}
 	}
 	return rep
+}
+
+// withErr appends a violation's error, such as the bound an inadmissible
+// schedule broke, to its detail.
+func withErr(detail string, err error) string {
+	if err != nil {
+		return detail + ": " + err.Error()
+	}
+	return detail
 }
 
 func detailOr(err error, ok string) string {

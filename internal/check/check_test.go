@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sessionproblem/internal/adversary"
+	"sessionproblem/internal/alg/async"
 	"sessionproblem/internal/alg/periodic"
 	"sessionproblem/internal/alg/semisync"
 	"sessionproblem/internal/alg/sporadic"
@@ -27,6 +28,27 @@ func TestSMSuitePassesForPeriodicAP(t *testing.T) {
 	if len(rep.Items) != 4 {
 		t.Errorf("items: got %d, want 4 (sampled, exhaustive, idle, adversary)", len(rep.Items))
 	}
+}
+
+// TestExhaustiveNamesTheBrokenBound: exhaustive gap choices the model does
+// not admit fail the exhaustive item, and its detail names the bound.
+func TestExhaustiveNamesTheBrokenBound(t *testing.T) {
+	rep := SM(async.NewSM(), SMOptions{
+		Spec:           core.Spec{S: 2, N: 2, B: 2},
+		Model:          timing.NewSemiSynchronous(2, 6, 0),
+		Seeds:          1,
+		ExhaustiveGaps: []sim.Duration{2, 9},
+		SkipAdversary:  true,
+	})
+	for _, it := range rep.Items {
+		if it.Name == "exhaustive schedules" {
+			if it.Passed || !strings.Contains(it.Detail, "gap 9 outside [2,6]") {
+				t.Errorf("exhaustive item %+v: want a failure naming the broken bound", it)
+			}
+			return
+		}
+	}
+	t.Fatalf("no exhaustive item in %+v", rep.Items)
 }
 
 func TestSMSuiteFailsForSynchronousUnderPeriodic(t *testing.T) {

@@ -239,7 +239,8 @@ func dur(v int64) sim.Duration { return sim.Duration(v) }
 
 // Options renders the flags as facade options, for the tools (and output
 // modes) that go through the public API — the path whose results are
-// byte-identical to the sessiond daemon's.
+// byte-identical to the sessiond daemon's. -timeout is not among them: it
+// bounds the ctx Context returns, which those tools pass to the call.
 func Options(p *Problem, e *Exec) []sessionproblem.Option {
 	opts := []sessionproblem.Option{
 		sessionproblem.WithSpec(p.S, p.N),
@@ -248,7 +249,6 @@ func Options(p *Problem, e *Exec) []sessionproblem.Option {
 		sessionproblem.WithDelayBounds(p.D1, p.D2),
 		sessionproblem.WithSeeds(e.Seeds),
 		sessionproblem.WithParallelism(e.Parallelism),
-		sessionproblem.WithTimeout(e.Timeout),
 		sessionproblem.WithCacheDir(e.CacheDir),
 		sessionproblem.WithSeedBatching(e.SeedBatching),
 	}

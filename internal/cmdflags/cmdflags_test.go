@@ -25,7 +25,7 @@ func TestEngineReplaysJournalIntoMemoryTier(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer closer()
-		cfg := harness.Config{S: 2, N: 3, B: 3, Seeds: 1, Engine: eng}
+		cfg := harness.Config{S: 2, N: 3, B: 3, C1: 2, Seeds: 1, Engine: eng}
 		cells, err := harness.Table1Ctx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)

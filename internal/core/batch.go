@@ -82,14 +82,14 @@ func runSeedGroup(ctx context.Context, m timing.Model, st timing.Strategy, seeds
 // other solo runner) would produce per seed.
 func BatchRunSM(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seeds []uint64, rs *RunScratch) ([]*RunSummary, BatchStats, error) {
 	return runSeedGroup(ctx, m, st, seeds, func(i int, sched *timing.Scheduler) (*Report, error) {
-		return runSM(ctx, alg, spec, m, sched, st, seeds[i], rs, StreamOptions{}, false)
+		return runSM(ctx, alg, spec, m, sched, plain(st, seeds[i], rs, StreamOptions{}, false))
 	})
 }
 
 // BatchRunMP is BatchRunSM for message-passing seed groups.
 func BatchRunMP(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seeds []uint64, rs *RunScratch) ([]*RunSummary, BatchStats, error) {
 	return runSeedGroup(ctx, m, st, seeds, func(i int, sched *timing.Scheduler) (*Report, error) {
-		return runMP(ctx, alg, spec, m, sched, st, seeds[i], rs, StreamOptions{}, false)
+		return runMP(ctx, alg, spec, m, sched, plain(st, seeds[i], rs, StreamOptions{}, false))
 	})
 }
 
@@ -99,6 +99,6 @@ func BatchRunMP(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model,
 // scheduler draws alone, so a firing injector would invalidate the share.
 func BatchRunMPFaulted(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seeds []uint64, frs []FaultRun) ([]*RunSummary, BatchStats, error) {
 	return runSeedGroup(ctx, m, st, seeds, func(i int, sched *timing.Scheduler) (*Report, error) {
-		return runMPFaultedSched(ctx, alg, spec, m, sched, frs[i])
+		return AuditMP(ctx, alg, spec, m, sched, frs[i])
 	})
 }

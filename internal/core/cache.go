@@ -22,8 +22,9 @@ import (
 
 // RunSummary is the immutable digest of one run: every scalar the harness
 // aggregates plus the audit and the session decomposition the facade
-// reports. It deliberately omits the trace — traces are scratch-backed and
-// reused by the next run on the same worker, so a cache must never hold one.
+// reports. It deliberately omits the trace: only the traced runners record
+// one, and it grows with the run's steps, so a cache holds what every runner
+// reports and nothing that scales with the computation.
 type RunSummary struct {
 	// Algorithm and Model identify what ran.
 	Algorithm string

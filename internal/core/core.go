@@ -90,9 +90,10 @@ type Report struct {
 	// Messages counts broadcasts (message-passing runs only).
 	Messages int
 
-	// Audit is the fault auditor's classification. Only the fault-aware
-	// runners (RunSMFaulted, RunMPFaulted) fill it; it is zero for the
-	// plain verified paths, which fail hard on inadmissibility instead.
+	// Audit is the auditor's classification. Only the audited runners
+	// (AuditSM, AuditMP and their fault-plan wrappers) fill it; it is zero
+	// for the plain verified paths, which fail hard on inadmissibility
+	// instead.
 	Audit fault.Audit
 	// Faults lists the injected faults the executor applied, in execution
 	// order. Nil for fault-free runs.
@@ -139,7 +140,7 @@ func RunSM(alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed 
 // RunSMContext is RunSM with cooperative cancellation threaded through the
 // shared-memory executor.
 func RunSMContext(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64) (*Report, error) {
-	return runSM(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, nil, StreamOptions{}, true)
+	return runSM(ctx, alg, spec, m, m.NewScheduler(st, seed), plain(st, seed, nil, StreamOptions{}, true))
 }
 
 // RunSMStream is RunSMContext without the trace, on a reusable scratch when
@@ -147,32 +148,7 @@ func RunSMContext(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Mode
 // however many steps the run takes. Every other field, and any
 // verification error, is what the traced runners report.
 func RunSMStream(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64, rs *RunScratch, so StreamOptions) (*Report, error) {
-	return runSM(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, rs, so, false)
-}
-
-// runSM is the one verified shared-memory runner. The caller builds the
-// scheduler for seed, so the seed-group layer can read its draw count
-// afterwards. An online certifier checks every step as the executor
-// produces it; keepTrace additionally records the steps into Report.Trace.
-func runSM(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, sched *timing.Scheduler, st timing.Strategy, seed uint64, rs *RunScratch, so StreamOptions, keepTrace bool) (*Report, error) {
-	sys, err := buildSM(alg, spec, m)
-	if err != nil {
-		return nil, err
-	}
-	ctr := certify.New(len(sys.Procs), len(sys.Ports)).CheckAdmissibility(m)
-	opts := smOptions(m, rs)
-	opts.MaxSteps = so.MaxSteps
-	opts.Observer = ctr
-	opts.DiscardSteps = !keepTrace
-	res, err := sm.RunContext(ctx, sys, sched, opts)
-	if err != nil {
-		return nil, fmt.Errorf("run %s under %v: %w", alg.Name(), m.Kind, err)
-	}
-	rep := certified(alg.Name(), spec, m, res.Finish, ctr)
-	if keepTrace {
-		rep.Trace = res.Trace
-	}
-	return verify(rep, ctr, st, seed)
+	return runSM(ctx, alg, spec, m, m.NewScheduler(st, seed), plain(st, seed, rs, so, false))
 }
 
 // RunMP executes alg under model m with the given strategy and seed, then
@@ -185,37 +161,117 @@ func RunMP(alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed 
 // RunMPContext is RunMP with cooperative cancellation threaded through the
 // message-passing executor.
 func RunMPContext(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64) (*Report, error) {
-	return runMP(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, nil, StreamOptions{}, true)
+	return runMP(ctx, alg, spec, m, m.NewScheduler(st, seed), plain(st, seed, nil, StreamOptions{}, true))
 }
 
 // RunMPStream is RunSMStream for message-passing algorithms.
 func RunMPStream(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, st timing.Strategy, seed uint64, rs *RunScratch, so StreamOptions) (*Report, error) {
-	return runMP(ctx, alg, spec, m, m.NewScheduler(st, seed), st, seed, rs, so, false)
+	return runMP(ctx, alg, spec, m, m.NewScheduler(st, seed), plain(st, seed, rs, so, false))
 }
 
-// runMP is the one verified message-passing runner; see runSM. The
-// certifier additionally observes every message delay.
-func runMP(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, sched *timing.Scheduler, st timing.Strategy, seed uint64, rs *RunScratch, so StreamOptions, keepTrace bool) (*Report, error) {
+// execution is what one pass through a runner takes besides the system's
+// inputs and the scheduler: the executor's injector, step cap and scratch,
+// whether to record the trace, and how the outcome is judged.
+type execution struct {
+	FaultRun
+	keepTrace bool
+	// audited classifies the outcome into Report.Audit with a nil error;
+	// otherwise the run is verified and fails on an inadmissible
+	// computation or too few sessions, naming st and seed.
+	audited bool
+	st      timing.Strategy
+	seed    uint64
+}
+
+// plain is the execution of a verified run of seed under st.
+func plain(st timing.Strategy, seed uint64, rs *RunScratch, so StreamOptions, keepTrace bool) execution {
+	return execution{FaultRun: FaultRun{MaxSteps: so.MaxSteps, Scratch: rs}, keepTrace: keepTrace, st: st, seed: seed}
+}
+
+// certifier returns the run's online certifier: fail-fast for a verified
+// run, collecting every violation for an audited one.
+func (x execution) certifier(m timing.Model, procs, ports int) *certify.Counter {
+	ctr := certify.New(procs, ports)
+	if x.audited {
+		return ctr.CollectViolations(m)
+	}
+	return ctr.CheckAdmissibility(m)
+}
+
+// judge ends a run: a verified run fails on the certifier's verdict, and an
+// audited one is classified. capped marks an audited run the step cap cut
+// short.
+func (x execution) judge(rep *Report, ctr *certify.Counter, portsIdle, capped bool) (*Report, error) {
+	if !x.audited {
+		return verify(rep, ctr, x.st, x.seed)
+	}
+	rep.Audit = audit(ctr, rep.Spec.S, portsIdle, rep.Faults, capped)
+	return rep, nil
+}
+
+// runSM is the one shared-memory runner: build alg's system, certify every
+// step online as the executor runs it under sched, and report. sched is any
+// executor scheduler: a timing-model strategy, an enumerated or searched
+// schedule, a hop scheduler. The seed-group layer builds the scheduler
+// itself so it can read its draw count afterwards.
+func runSM(ctx context.Context, alg SMAlgorithm, spec Spec, m timing.Model, sched sm.Scheduler, x execution) (*Report, error) {
+	sys, err := buildSM(alg, spec, m)
+	if err != nil {
+		return nil, err
+	}
+	ctr := x.certifier(m, len(sys.Procs), len(sys.Ports))
+	opts := smOptions(m, x.Scratch)
+	opts.MaxSteps = x.MaxSteps
+	opts.Injector = x.Injector
+	opts.Observer = ctr
+	opts.DiscardSteps = !x.keepTrace
+	res, err := sm.RunContext(ctx, sys, sched, opts)
+	capped := x.audited && res != nil && errors.Is(err, sm.ErrNoTermination)
+	if err != nil && !capped {
+		return nil, fmt.Errorf("run %s under %v: %w", alg.Name(), m.Kind, err)
+	}
+	rep := certified(alg.Name(), spec, m, res.Finish, ctr)
+	rep.Faults = res.Faults
+	if x.keepTrace {
+		rep.Trace = res.Trace
+	}
+	portsIdle := true
+	for _, pb := range sys.Ports {
+		portsIdle = portsIdle && res.IdleAt[pb.Proc] >= 0
+	}
+	return x.judge(rep, ctr, portsIdle, capped)
+}
+
+// runMP is the one message-passing runner; see runSM. The certifier
+// additionally observes every message delay.
+func runMP(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Model, sched mp.Scheduler, x execution) (*Report, error) {
 	sys, err := buildMP(alg, spec, m)
 	if err != nil {
 		return nil, err
 	}
-	ctr := certify.New(len(sys.Procs), len(sys.PortProcs)).CheckAdmissibility(m)
-	opts := mpOptions(m, rs)
-	opts.MaxSteps = so.MaxSteps
+	ctr := x.certifier(m, len(sys.Procs), len(sys.PortProcs))
+	opts := mpOptions(m, x.Scratch)
+	opts.MaxSteps = x.MaxSteps
+	opts.Injector = x.Injector
 	opts.Observer = ctr
 	opts.DelayObserver = ctr
-	opts.DiscardSteps = !keepTrace
+	opts.DiscardSteps = !x.keepTrace
 	res, err := mp.RunContext(ctx, sys, sched, opts)
-	if err != nil {
+	capped := x.audited && res != nil && errors.Is(err, mp.ErrNoTermination)
+	if err != nil && !capped {
 		return nil, fmt.Errorf("run %s under %v: %w", alg.Name(), m.Kind, err)
 	}
 	rep := certified(alg.Name(), spec, m, res.Finish, ctr)
 	rep.Messages = res.MessagesSent
-	if keepTrace {
+	rep.Faults = res.Faults
+	if x.keepTrace {
 		rep.Trace = res.Trace
 	}
-	return verify(rep, ctr, st, seed)
+	portsIdle := true
+	for _, pp := range sys.PortProcs {
+		portsIdle = portsIdle && res.IdleAt[pp] >= 0
+	}
+	return x.judge(rep, ctr, portsIdle, capped)
 }
 
 // buildSM validates the spec and model and builds alg's system.

@@ -1,4 +1,4 @@
-// Package explore exhaustively enumerates admissible schedules for small
+// Package explore exhaustively enumerates schedules for small
 // session-problem instances and verifies the session condition on every one
 // of them — bounded model checking, complementing the sampled strategies in
 // internal/timing.
@@ -12,20 +12,22 @@
 //     drawn from a finite choice set, and
 //   - one delay choice per (broadcast, destination) up to a send cap,
 //
-// builds a fresh system per assignment via the algorithm factory, runs it,
-// and checks the number of disjoint sessions. Upper-bound theorems quantify
-// over all admissible computations; on these finite sub-lattices the
-// quantifier is discharged exactly.
+// and runs each through core's audited runner, which builds a fresh system
+// via the algorithm factory, certifies every step and delay against the
+// model online and counts the disjoint sessions without recording a trace.
+// A schedule the model does not admit is reported as a violation naming the
+// bound it broke, so a choice set outside the model cannot pass unnoticed.
+// Upper-bound theorems quantify over all admissible computations; on these
+// finite sub-lattices the quantifier is discharged exactly.
 package explore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
 	"sessionproblem/internal/core"
-	"sessionproblem/internal/mp"
 	"sessionproblem/internal/sim"
-	"sessionproblem/internal/sm"
 	"sessionproblem/internal/timing"
 )
 
@@ -37,8 +39,9 @@ type SMConfig struct {
 	Alg   core.SMAlgorithm
 	Spec  core.Spec
 	Model timing.Model
-	// GapChoices are the admissible gaps enumerated per decision point.
-	// They must all satisfy the model's gap constraint.
+	// GapChoices are the gaps enumerated per decision point. Every
+	// schedule is certified against Model, so a choice the model does not
+	// admit shows up as a violation.
 	GapChoices []sim.Duration
 	// Depth is the number of leading steps per process whose gaps are
 	// enumerated; later steps reuse the last chosen gap. For the periodic
@@ -55,11 +58,13 @@ type MPConfig struct {
 	Model timing.Model
 	// GapChoices as in SMConfig.
 	GapChoices []sim.Duration
-	// DelayChoices are the admissible delays enumerated per (send,
-	// destination) decision, up to SendDepth sends; later messages use the
-	// last delay choice.
+	// DelayChoices are the delays enumerated per (send, destination)
+	// decision, up to SendDepth sends; later messages use the last delay
+	// choice.
 	DelayChoices []sim.Duration
-	Depth        int
+	// Depth as in SMConfig: ignored for the periodic model, which
+	// enumerates one period per process.
+	Depth int
 	// SendDepth is the number of leading broadcasts whose delays are
 	// enumerated (each costs n delay decisions).
 	SendDepth int
@@ -70,18 +75,21 @@ type MPConfig struct {
 type Violation struct {
 	// Digits is the odometer state identifying the schedule.
 	Digits []int
-	// Sessions achieved (< spec.S), or -1 if the run errored.
+	// Sessions achieved, or -1 if the run errored.
 	Sessions int
-	Err      error
+	// Err is the run's error or, for a schedule the model does not admit,
+	// the first bound it broke; nil when an admissible schedule completed
+	// fewer than spec.S sessions.
+	Err error
 }
 
 // Result summarizes an exploration.
 type Result struct {
 	// Explored is the number of schedules run.
 	Explored int
-	// MinSessions is the fewest sessions over all schedules.
+	// MinSessions is the fewest sessions over the admissible schedules.
 	MinSessions int
-	// WorstFinish is the largest running time observed.
+	// WorstFinish is the largest running time of an admissible schedule.
 	WorstFinish sim.Time
 	// Violations lists up to 5 failing schedules.
 	Violations []Violation
@@ -205,8 +213,9 @@ func (d *digitScheduler) Delay(src, dst int) sim.Duration {
 	return v
 }
 
-// ExhaustiveSM runs the shared-memory exploration.
-func ExhaustiveSM(cfg SMConfig) (*Result, error) {
+// ExhaustiveSM runs the shared-memory exploration. ctx cancels it between
+// and during runs.
+func ExhaustiveSM(ctx context.Context, cfg SMConfig) (*Result, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -215,9 +224,6 @@ func ExhaustiveSM(cfg SMConfig) (*Result, error) {
 	}
 	if cfg.Depth <= 0 {
 		cfg.Depth = 3
-	}
-	if cfg.Limit <= 0 {
-		cfg.Limit = defaultLimit
 	}
 	periodic := cfg.Model.Kind == timing.Periodic
 	// Enumerate gaps for every process in the built system, including any
@@ -228,35 +234,15 @@ func ExhaustiveSM(cfg SMConfig) (*Result, error) {
 	}
 	numProcs := len(probe.Procs)
 	nd := gapDigits(numProcs, periodic, cfg.Depth)
-	od := newOdometer(nd, len(cfg.GapChoices))
-	if total, err := od.count(); err != nil {
-		return nil, err
-	} else if total > cfg.Limit {
-		return nil, fmt.Errorf("explore: %d schedules exceed limit %d", total, cfg.Limit)
-	}
-
-	res := &Result{MinSessions: int(^uint(0) >> 1)}
-	for {
-		sys, err := cfg.Alg.BuildSM(cfg.Spec, cfg.Model)
-		if err != nil {
-			return nil, err
-		}
-		sched := newDigitScheduler(numProcs, periodic, cfg.Depth, 0,
-			cfg.GapChoices, nil, od.digits)
-		runRes, err := sm.Run(sys, sched, sm.Options{})
-		res.Explored++
-		record(res, cfg.Spec.S, od.digits, err, func() (int, sim.Time) {
-			return runRes.Trace.CountSessions(), runRes.Finish
-		})
-		if !od.next() {
-			break
-		}
-	}
-	return res, nil
+	return explore(ctx, nd, len(cfg.GapChoices), cfg.Limit, cfg.Spec.S, func(digits []int, rs *core.RunScratch) (*core.Report, error) {
+		sched := newDigitScheduler(numProcs, periodic, cfg.Depth, 0, cfg.GapChoices, nil, digits)
+		return core.AuditSM(ctx, cfg.Alg, cfg.Spec, cfg.Model, sched, core.FaultRun{Scratch: rs})
+	})
 }
 
-// ExhaustiveMP runs the message-passing exploration.
-func ExhaustiveMP(cfg MPConfig) (*Result, error) {
+// ExhaustiveMP runs the message-passing exploration. Under the periodic
+// model it enumerates one period per process, as ExhaustiveSM does.
+func ExhaustiveMP(ctx context.Context, cfg MPConfig) (*Result, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -272,56 +258,65 @@ func ExhaustiveMP(cfg MPConfig) (*Result, error) {
 	if cfg.SendDepth < 0 {
 		cfg.SendDepth = 0
 	}
-	if cfg.Limit <= 0 {
-		cfg.Limit = defaultLimit
-	}
-	nd := gapDigits(cfg.Spec.N, false, cfg.Depth) + cfg.SendDepth*cfg.Spec.N
-	od := newOdometer(nd, len(cfg.GapChoices))
-	if total, err := od.count(); err != nil {
-		return nil, err
-	} else if total > cfg.Limit {
-		return nil, fmt.Errorf("explore: %d schedules exceed limit %d", total, cfg.Limit)
-	}
-
-	res := &Result{MinSessions: int(^uint(0) >> 1)}
-	for {
-		sys, err := cfg.Alg.BuildMP(cfg.Spec, cfg.Model)
-		if err != nil {
-			return nil, err
-		}
-		sched := newDigitScheduler(cfg.Spec.N, false, cfg.Depth, cfg.SendDepth,
-			cfg.GapChoices, cfg.DelayChoices, od.digits)
-		runRes, err := mp.Run(sys, sched, mp.Options{})
-		res.Explored++
-		record(res, cfg.Spec.S, od.digits, err, func() (int, sim.Time) {
-			return runRes.Trace.CountSessions(), runRes.Finish
-		})
-		if !od.next() {
-			break
-		}
-	}
-	return res, nil
+	periodic := cfg.Model.Kind == timing.Periodic
+	nd := gapDigits(cfg.Spec.N, periodic, cfg.Depth) + cfg.SendDepth*cfg.Spec.N
+	return explore(ctx, nd, len(cfg.GapChoices), cfg.Limit, cfg.Spec.S, func(digits []int, rs *core.RunScratch) (*core.Report, error) {
+		sched := newDigitScheduler(cfg.Spec.N, periodic, cfg.Depth, cfg.SendDepth,
+			cfg.GapChoices, cfg.DelayChoices, digits)
+		return core.AuditMP(ctx, cfg.Alg, cfg.Spec, cfg.Model, sched, core.FaultRun{Scratch: rs})
+	})
 }
 
-func record(res *Result, s int, digits []int, err error, outcome func() (int, sim.Time)) {
-	if err != nil {
-		if len(res.Violations) < 5 {
-			res.Violations = append(res.Violations, Violation{
-				Digits: append([]int(nil), digits...), Sessions: -1, Err: err,
-			})
+// explore runs every schedule of nd digits in the given base through run,
+// on one reusable scratch, and folds the audited reports into a Result. It
+// refuses a schedule space larger than limit (0 = the default). A run error
+// other than cancellation is that schedule's violation.
+func explore(ctx context.Context, nd, base, limit, s int, run func([]int, *core.RunScratch) (*core.Report, error)) (*Result, error) {
+	if limit <= 0 {
+		limit = defaultLimit
+	}
+	od := newOdometer(nd, base)
+	if total, err := od.count(); err != nil {
+		return nil, err
+	} else if total > limit {
+		return nil, fmt.Errorf("explore: %d schedules exceed limit %d", total, limit)
+	}
+	var rs core.RunScratch
+	res := &Result{MinSessions: int(^uint(0) >> 1)}
+	for {
+		rep, err := run(od.digits, &rs)
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		return
+		res.Explored++
+		record(res, s, od.digits, rep, err)
+		if !od.next() {
+			return res, nil
+		}
 	}
-	sessions, finish := outcome()
-	if sessions < res.MinSessions {
-		res.MinSessions = sessions
+}
+
+// record folds one schedule's outcome into res. An admissible schedule
+// counts toward MinSessions and WorstFinish and is a violation when it
+// completes fewer than s sessions; a schedule the model does not admit is a
+// violation naming the first bound it broke.
+func record(res *Result, s int, digits []int, rep *core.Report, err error) {
+	var v Violation
+	switch {
+	case err != nil:
+		v = Violation{Sessions: -1, Err: err}
+	case rep.Audit.FirstViolation != "":
+		v = Violation{Sessions: rep.Sessions, Err: fmt.Errorf("explore: schedule not admissible: %s", rep.Audit.FirstViolation)}
+	default:
+		res.MinSessions = min(res.MinSessions, rep.Sessions)
+		res.WorstFinish = max(res.WorstFinish, rep.Finish)
+		if rep.Sessions >= s {
+			return
+		}
+		v = Violation{Sessions: rep.Sessions}
 	}
-	if finish > res.WorstFinish {
-		res.WorstFinish = finish
-	}
-	if sessions < s && len(res.Violations) < 5 {
-		res.Violations = append(res.Violations, Violation{
-			Digits: append([]int(nil), digits...), Sessions: sessions,
-		})
+	if len(res.Violations) < 5 {
+		v.Digits = append([]int(nil), digits...)
+		res.Violations = append(res.Violations, v)
 	}
 }

@@ -1,9 +1,12 @@
 package explore
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"sessionproblem/internal/alg/async"
 	"sessionproblem/internal/alg/periodic"
 	"sessionproblem/internal/alg/semisync"
 	"sessionproblem/internal/alg/sporadic"
@@ -41,7 +44,7 @@ func TestOdometerOverflowGuard(t *testing.T) {
 // achieves s sessions on EVERY periodic schedule with periods from the
 // choice set.
 func TestPeriodicAPExhaustive(t *testing.T) {
-	res, err := ExhaustiveSM(SMConfig{
+	res, err := ExhaustiveSM(context.Background(), SMConfig{
 		Alg:        periodic.NewSM(),
 		Spec:       core.Spec{S: 3, N: 3, B: 2},
 		Model:      timing.NewPeriodic(2, 9, 0),
@@ -70,7 +73,7 @@ func TestPeriodicAPExhaustive(t *testing.T) {
 // enumerated periodic schedules must exhibit at least one violating
 // schedule — the explorer finds the Theorem 4.3 separation witness.
 func TestSynchronousBreaksExhaustive(t *testing.T) {
-	res, err := ExhaustiveSM(SMConfig{
+	res, err := ExhaustiveSM(context.Background(), SMConfig{
 		Alg:        synchronous.NewSM(),
 		Spec:       core.Spec{S: 3, N: 3, B: 2},
 		Model:      timing.NewPeriodic(1, 8, 0),
@@ -91,7 +94,7 @@ func TestSynchronousBreaksExhaustive(t *testing.T) {
 // TestSemiSyncStepCountExhaustive checks the step-counting algorithm over
 // every gap assignment from {c1, mid, c2} at depth 3.
 func TestSemiSyncStepCountExhaustive(t *testing.T) {
-	res, err := ExhaustiveSM(SMConfig{
+	res, err := ExhaustiveSM(context.Background(), SMConfig{
 		Alg:        semisync.NewSM(semisync.ForceStepCount),
 		Spec:       core.Spec{S: 2, N: 2, B: 2},
 		Model:      timing.NewSemiSynchronous(2, 6, 0),
@@ -111,13 +114,15 @@ func TestSemiSyncStepCountExhaustive(t *testing.T) {
 
 // TestPeriodicMPExhaustive enumerates gaps and delays jointly for A(p).
 func TestPeriodicMPExhaustive(t *testing.T) {
-	// The periodic MP model is enumerated as free gaps here (a superset of
-	// periodic schedules: gaps vary per step); A(p)'s correctness argument
-	// only needs gaps bounded by cmax, so it must still pass.
-	res, err := ExhaustiveMP(MPConfig{
+	// Free per-step gaps in [cmin, cmax] are a superset of periodic
+	// schedules, and A(p)'s correctness argument only needs gaps bounded by
+	// cmax, so it must still pass. The periodic model does not admit gaps
+	// that vary per step; the semi-synchronous model with the same bounds
+	// does, and A(p)'s BuildMP ignores the model.
+	res, err := ExhaustiveMP(context.Background(), MPConfig{
 		Alg:          periodic.NewMP(),
 		Spec:         core.Spec{S: 2, N: 2},
-		Model:        timing.NewPeriodic(1, 6, 10),
+		Model:        timing.NewSemiSynchronous(1, 6, 10),
 		GapChoices:   []sim.Duration{1, 6},
 		DelayChoices: []sim.Duration{0, 10},
 		Depth:        3,
@@ -136,7 +141,7 @@ func TestPeriodicMPExhaustive(t *testing.T) {
 
 // TestSporadicExhaustive enumerates A(sp) over sporadic gaps and delays.
 func TestSporadicExhaustive(t *testing.T) {
-	res, err := ExhaustiveMP(MPConfig{
+	res, err := ExhaustiveMP(context.Background(), MPConfig{
 		Alg:          sporadic.NewMP(),
 		Spec:         core.Spec{S: 2, N: 2},
 		Model:        timing.NewSporadic(2, 3, 9, 8),
@@ -157,16 +162,16 @@ func TestSporadicExhaustive(t *testing.T) {
 }
 
 func TestExploreValidation(t *testing.T) {
-	if _, err := ExhaustiveSM(SMConfig{Spec: core.Spec{S: 0, N: 1}}); err == nil {
+	if _, err := ExhaustiveSM(context.Background(), SMConfig{Spec: core.Spec{S: 0, N: 1}}); err == nil {
 		t.Error("bad spec accepted")
 	}
-	if _, err := ExhaustiveSM(SMConfig{
+	if _, err := ExhaustiveSM(context.Background(), SMConfig{
 		Alg:  periodic.NewSM(),
 		Spec: core.Spec{S: 1, N: 1, B: 2},
 	}); err == nil {
 		t.Error("empty gap choices accepted")
 	}
-	_, err := ExhaustiveMP(MPConfig{
+	_, err := ExhaustiveMP(context.Background(), MPConfig{
 		Alg:          periodic.NewMP(),
 		Spec:         core.Spec{S: 1, N: 1},
 		Model:        timing.NewPeriodic(1, 2, 3),
@@ -179,7 +184,7 @@ func TestExploreValidation(t *testing.T) {
 }
 
 func TestExploreLimit(t *testing.T) {
-	_, err := ExhaustiveSM(SMConfig{
+	_, err := ExhaustiveSM(context.Background(), SMConfig{
 		Alg:        semisync.NewSM(semisync.ForceStepCount),
 		Spec:       core.Spec{S: 2, N: 4, B: 2},
 		Model:      timing.NewSemiSynchronous(1, 4, 0),
@@ -198,7 +203,7 @@ func TestExploreLimit(t *testing.T) {
 func TestExploreWorstCaseMatchesSlowStrategy(t *testing.T) {
 	spec := core.Spec{S: 3, N: 3, B: 2}
 	m := timing.NewPeriodic(2, 9, 0)
-	res, err := ExhaustiveSM(SMConfig{
+	res, err := ExhaustiveSM(context.Background(), SMConfig{
 		Alg: periodic.NewSM(), Spec: spec, Model: m,
 		GapChoices: []sim.Duration{2, 9},
 	})
@@ -211,5 +216,75 @@ func TestExploreWorstCaseMatchesSlowStrategy(t *testing.T) {
 	}
 	if res.WorstFinish < rep.Finish {
 		t.Errorf("exhaustive worst %v below sampled Slow %v", res.WorstFinish, rep.Finish)
+	}
+}
+
+// TestPeriodicMPEnumeratesPeriods: under the periodic model the
+// message-passing explorer enumerates one period per process, as the
+// shared-memory one does, so every schedule is admissible there: 2 periods
+// per process and 2 delay choices for each of 2 sends to 2 destinations.
+func TestPeriodicMPEnumeratesPeriods(t *testing.T) {
+	res, err := ExhaustiveMP(context.Background(), MPConfig{
+		Alg:          periodic.NewMP(),
+		Spec:         core.Spec{S: 2, N: 2},
+		Model:        timing.NewPeriodic(1, 6, 10),
+		GapChoices:   []sim.Duration{1, 6},
+		DelayChoices: []sim.Duration{0, 10},
+		Depth:        3,
+		SendDepth:    2,
+	})
+	if err != nil {
+		t.Fatalf("ExhaustiveMP: %v", err)
+	}
+	if res.Explored != 64 {
+		t.Errorf("explored %d, want 2^(2+2*2) = 64", res.Explored)
+	}
+	if !res.OK() {
+		t.Errorf("violations: %+v", res.Violations)
+	}
+}
+
+// TestInadmissibleChoicesAreViolations: a gap choice above the
+// semi-synchronous c2 yields schedules the model does not admit. Each is a
+// violation naming the broken bound, and only the all-admissible schedule
+// feeds MinSessions and WorstFinish.
+func TestInadmissibleChoicesAreViolations(t *testing.T) {
+	res, err := ExhaustiveSM(context.Background(), SMConfig{
+		Alg:        async.NewSM(),
+		Spec:       core.Spec{S: 2, N: 2, B: 2},
+		Model:      timing.NewSemiSynchronous(2, 6, 0),
+		GapChoices: []sim.Duration{2, 9},
+		Depth:      2,
+	})
+	if err != nil {
+		t.Fatalf("ExhaustiveSM: %v", err)
+	}
+	// Two ports and the algorithm's third process, two gap decisions each.
+	if res.Explored != 64 {
+		t.Errorf("explored %d, want 2^(3*2) = 64", res.Explored)
+	}
+	if res.OK() {
+		t.Fatal("schedules with gap 9 under c2 = 6 passed")
+	}
+	for _, v := range res.Violations {
+		if v.Err == nil || !strings.Contains(v.Err.Error(), "gap 9 outside [2,6]") {
+			t.Errorf("violation %v does not name the broken bound: %v", v.Digits, v.Err)
+		}
+	}
+}
+
+// TestExploreHonoursCancellation: a cancelled context stops the
+// exploration with the context's error instead of recording violations.
+func TestExploreHonoursCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := ExhaustiveSM(ctx, SMConfig{
+		Alg:        periodic.NewSM(),
+		Spec:       core.Spec{S: 3, N: 3, B: 2},
+		Model:      timing.NewPeriodic(2, 9, 0),
+		GapChoices: []sim.Duration{2, 9},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled exploration returned %v, want context.Canceled", err)
 	}
 }

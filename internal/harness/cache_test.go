@@ -18,7 +18,7 @@ func cachedEngine(cache *engine.RunCache) *engine.Engine {
 }
 
 func TestTable1CacheIdentical(t *testing.T) {
-	base := Config{S: 2, N: 3, B: 2, Seeds: 1}
+	base := Config{S: 2, N: 3, B: 2, C1: 2, Seeds: 1}
 
 	plain, err := Table1Ctx(context.Background(), base)
 	if err != nil {
@@ -64,7 +64,7 @@ func TestTable1CacheIdentical(t *testing.T) {
 func TestHierarchySharesTableCache(t *testing.T) {
 	// Hierarchy's synchronous MP runs coincide with Table 1's synchronous MP
 	// cell at the same config, so a shared cache must produce hits.
-	base := Config{S: 2, N: 3, B: 2, Seeds: 1}
+	base := Config{S: 2, N: 3, B: 2, C1: 2, Seeds: 1}
 	cache := engine.NewRunCache()
 
 	cfg := base

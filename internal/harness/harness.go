@@ -78,17 +78,16 @@ func Default() Config {
 	}
 }
 
-// withDefaults fills every zero-valued knob from Default. Timing parameters
-// are included: a zero C2 or Cmax would otherwise build degenerate models
-// (zero-length steps and periods) that the simulators reject or, worse,
-// run meaninglessly fast.
+// withDefaults fills every zero-valued knob from Default except C1. Timing
+// parameters are included: a zero C2 or Cmax would otherwise build
+// degenerate models (zero-length steps and periods) that the simulators
+// reject or, worse, run meaninglessly fast. C1 is the one a caller can
+// mean as zero, and the semi-synchronous and sporadic bounds divide by
+// it, so a zero C1 is rejected (CheckC1) rather than replaced.
 func (c Config) withDefaults() Config {
 	def := Default()
 	if c.Seeds == 0 {
 		c.Seeds = def.Seeds
-	}
-	if c.C1 == 0 {
-		c.C1 = def.C1
 	}
 	if c.C2 == 0 {
 		c.C2 = def.C2
@@ -258,6 +257,16 @@ func CheckSpec(s, n, b int, readsB bool) error {
 		return fmt.Errorf("harness: n must be >= 1, got %d", n)
 	case readsB && b < 2:
 		return fmt.Errorf("harness: b must be >= 2, got %d", b)
+	}
+	return nil
+}
+
+// CheckC1 rejects a step lower bound below 1 for the cells whose bound
+// formulas divide by it (registry.Cell.ReadsC1): Table 1, the hierarchy and
+// the tightness experiment all include such cells.
+func CheckC1(c1 sim.Duration) error {
+	if c1 < 1 {
+		return fmt.Errorf("harness: c1 must be >= 1, got %d", c1)
 	}
 	return nil
 }
@@ -442,6 +451,9 @@ func aggregate(c registry.Cell, p bounds.Params, outs []runOutcome) Cell {
 func Table1Ctx(ctx context.Context, cfg Config) ([]Cell, error) {
 	cfg = cfg.withDefaults()
 	if err := CheckSpec(cfg.S, cfg.N, cfg.B, true); err != nil {
+		return nil, err
+	}
+	if err := CheckC1(cfg.C1); err != nil {
 		return nil, err
 	}
 	p := cfg.params()

@@ -8,7 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"sessionproblem/internal/alg/async"
+	"sessionproblem/internal/core"
 	"sessionproblem/internal/sim"
+	"sessionproblem/internal/timing"
+	"sessionproblem/internal/topo"
 )
 
 func smallConfig() Config {
@@ -233,9 +237,9 @@ func TestWriteSweepAndHierarchy(t *testing.T) {
 }
 
 func TestSweepDiameter(t *testing.T) {
-	pts, err := SweepDiameter(context.Background(), 3, 6, 3, 10, 1)
+	pts, err := Sweep(context.Background(), SweepSpec{Kind: SweepKindNetworkDiameter, S: 3, N: 6, C2: 3, D2: 10, Seeds: 1})
 	if err != nil {
-		t.Fatalf("SweepDiameter: %v", err)
+		t.Fatalf("Sweep F5: %v", err)
 	}
 	if len(pts) != 4 {
 		t.Fatalf("points: got %d", len(pts))
@@ -243,20 +247,34 @@ func TestSweepDiameter(t *testing.T) {
 	for _, p := range pts {
 		if p.Measured > p.PaperUpper {
 			t.Errorf("%s: measured %.0f exceeds converted bound %.0f",
-				p.Topology, p.Measured, p.PaperUpper)
+				p.Label, p.Measured, p.PaperUpper)
 		}
 	}
 	// Diameter ordering must show through: line slower than complete.
-	byName := make(map[string]DiameterPoint)
+	byName := make(map[string]SweepPoint)
 	for _, p := range pts {
-		byName[p.Topology] = p
+		byName[p.Label] = p
 	}
 	if byName["line"].Measured <= byName["complete"].Measured {
 		t.Errorf("line (%.0f) should be slower than complete (%.0f)",
 			byName["line"].Measured, byName["complete"].Measured)
 	}
-	if byName["complete"].Diameter != 1 || byName["line"].Diameter != 5 {
+	if byName["complete"].X != 1 || byName["line"].X != 5 {
 		t.Errorf("diameters wrong: %+v", byName)
+	}
+}
+
+// TestHopRunRejectsInadmissible: an F5 run the abstract model does not
+// admit is an error, never a summary the run cache could keep. Ring hops of
+// up to 10 ticks over diameter 3 break a delay bound of 5.
+func TestHopRunRejectsInadmissible(t *testing.T) {
+	g, err := topo.Build("ring", 6, diameterTopoSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = hopRun(context.Background(), async.NewMP(), core.Spec{S: 3, N: 6}, timing.NewAsynchronousMP(3, 5), g, 10, 1)
+	if err == nil || !strings.Contains(err.Error(), "inadmissible computation") || !strings.Contains(err.Error(), "outside [0,5]") {
+		t.Errorf("hopRun under too small a delay bound: err = %v, want the broken delay bound", err)
 	}
 }
 
@@ -265,7 +283,8 @@ func TestSweepDiameter(t *testing.T) {
 func TestSweepDiameterHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SweepDiameter(ctx, 3, 6, 3, 10, 2, "ring", "grid"); !errors.Is(err, context.Canceled) {
+	_, err := Sweep(ctx, SweepSpec{Kind: SweepKindNetworkDiameter, S: 3, N: 6, C2: 3, D2: 10, Seeds: 2, Topologies: []string{"ring", "grid"}})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled F5 sweep returned %v, want context.Canceled", err)
 	}
 }
@@ -367,7 +386,7 @@ func TestSweepCausality(t *testing.T) {
 
 func TestTightness(t *testing.T) {
 	cfg := smallConfig()
-	rows, err := Tightness(cfg)
+	rows, err := Tightness(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Tightness: %v", err)
 	}
@@ -435,12 +454,20 @@ func TestInvalidSpecsRejected(t *testing.T) {
 			_, err := GridCtx(ctx, smallConfig(), []struct{ S, N int }{{2, 0}})
 			return err
 		}, "n must be >= 1, got 0"},
-		"Tightness n=0": {func() error { _, err := Tightness(with(func(c *Config) { c.N = 0 })); return err }, "n must be >= 1, got 0"},
+		"Tightness n=0": {func() error { _, err := Tightness(ctx, with(func(c *Config) { c.N = 0 })); return err }, "n must be >= 1, got 0"},
 		"Sweep s=0": {func() error {
 			_, err := Sweep(ctx, SweepSpec{Kind: SweepKindSporadicDelay, S: 0, N: 3, C1: 2, D2: 40, Steps: 3})
 			return err
 		}, "s must be >= 1, got 0"},
-		"SweepDiameter n=0": {func() error { _, err := SweepDiameter(ctx, 3, 0, 3, 10, 1); return err }, "n must be >= 1, got 0"},
+		"SweepDiameter n=0": {func() error {
+			_, err := Sweep(ctx, SweepSpec{Kind: SweepKindNetworkDiameter, S: 3, N: 0, C2: 3, D2: 10, Seeds: 1})
+			return err
+		}, "n must be >= 1, got 0"},
+		// c1 is never filled in: the semi-synchronous and sporadic bounds
+		// divide by it.
+		"Table1 c1=0":    {func() error { _, err := Table1Ctx(ctx, with(func(c *Config) { c.C1 = 0 })); return err }, "c1 must be >= 1, got 0"},
+		"Hierarchy c1=0": {func() error { _, err := HierarchyCtx(ctx, with(func(c *Config) { c.C1 = 0 })); return err }, "c1 must be >= 1, got 0"},
+		"Tightness c1=0": {func() error { _, err := Tightness(ctx, with(func(c *Config) { c.C1 = 0 })); return err }, "c1 must be >= 1, got 0"},
 	}
 	for name, c := range calls {
 		if err := c.call(); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -471,7 +498,10 @@ func TestNegativeSeedsRejected(t *testing.T) {
 			_, err := FaultSweep(ctx, FaultSweepConfig{S: 2, N: 2, Seeds: -1, MaxSteps: 20000})
 			return err
 		},
-		"SweepDiameter":           func() error { _, err := SweepDiameter(ctx, 3, 6, 3, 10, -1); return err },
+		"SweepDiameter": func() error {
+			_, err := Sweep(ctx, SweepSpec{Kind: SweepKindNetworkDiameter, S: 3, N: 6, C2: 3, D2: 10, Seeds: -1})
+			return err
+		},
 		"SweepSporadicVsSemiSync": func() error { _, err := SweepSporadicVsSemiSync(4, 3, 2, 10, 28, 4, -1); return err },
 	}
 	for name, call := range calls {

@@ -70,7 +70,7 @@ func TestRunMatrixLayout(t *testing.T) {
 		call     func(eng *engine.Engine, noBatch bool) error
 	}{
 		{"table1", table1, func(eng *engine.Engine, noBatch bool) error {
-			_, err := Table1Ctx(context.Background(), Config{S: 2, N: 2, B: 2, Seeds: 2, Engine: eng, NoSeedBatch: noBatch})
+			_, err := Table1Ctx(context.Background(), Config{S: 2, N: 2, B: 2, C1: 2, Seeds: 2, Engine: eng, NoSeedBatch: noBatch})
 			return err
 		}},
 		{"F3", f3, func(eng *engine.Engine, noBatch bool) error {

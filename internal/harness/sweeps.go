@@ -108,6 +108,10 @@ const (
 	// algorithm as d1 sweeps from d2 down to 0 (see SweepSporadicVsSemiSync
 	// for the structured form).
 	SweepKindSporadicVsSemiSync
+	// SweepKindNetworkDiameter is experiment F5: the asynchronous algorithm
+	// over point-to-point topologies with per-hop delays in [0, D2], against
+	// the abstract bound at d2 = diameter·D2.
+	SweepKindNetworkDiameter
 )
 
 // SweepSpec declares a sweep experiment as data: the kind, the problem
@@ -117,13 +121,13 @@ const (
 type SweepSpec struct {
 	Kind SweepKind
 
-	S int // sessions (F1, F3, F6)
+	S int // sessions (F1, F3, F5, F6)
 	N int // ports
 
 	C1 sim.Duration // step-time lower bound
 	C2 sim.Duration // step-time upper bound / period max (F2) / sporadic gap cap (F6)
 	D1 sim.Duration // message-delay lower bound (F3 sporadic baseline)
-	D2 sim.Duration // message-delay upper bound
+	D2 sim.Duration // message-delay upper bound / per-hop delay bound (F5)
 
 	Steps int            // number of sweep points (F1, F6)
 	MaxS  int            // largest session count (F2; sweeps s = 2..MaxS)
@@ -132,6 +136,8 @@ type SweepSpec struct {
 	Intensities []float64    // swept fault intensities (fault-intensity sweep)
 	FaultSeed   uint64       // base fault-plan seed (fault-intensity sweep)
 	FaultKinds  []fault.Kind // injected fault classes; empty = all
+
+	Topologies []string // topology families (F5); empty = complete, star, ring, line
 
 	Seeds int // seeds per strategy (default 3)
 
@@ -166,6 +172,8 @@ func Sweep(ctx context.Context, sp SweepSpec) ([]SweepPoint, error) {
 		return sweepFaultIntensity(ctx, sp)
 	case SweepKindSporadicVsSemiSync:
 		return sweepSporadicVsSemiSync(ctx, sp)
+	case SweepKindNetworkDiameter:
+		return sweepNetworkDiameter(ctx, sp)
 	default:
 		return nil, fmt.Errorf("harness: unknown sweep kind %d", sp.Kind)
 	}
@@ -336,6 +344,9 @@ type HierarchyRow struct {
 // fan across the configured engine together.
 func HierarchyCtx(ctx context.Context, cfg Config) ([]HierarchyRow, error) {
 	cfg = cfg.withDefaults()
+	if err := CheckC1(cfg.C1); err != nil {
+		return nil, err
+	}
 	spec := core.Spec{S: cfg.S, N: cfg.N}
 	p := cfg.params()
 

@@ -3,9 +3,7 @@ package harness
 import (
 	"context"
 
-	"sessionproblem/internal/alg/semisync"
-	"sessionproblem/internal/alg/sporadic"
-	"sessionproblem/internal/bounds"
+	"sessionproblem/internal/alg/registry"
 	"sessionproblem/internal/core"
 	"sessionproblem/internal/search"
 	"sessionproblem/internal/sim"
@@ -26,67 +24,50 @@ type TightnessRow struct {
 
 // Tightness runs the lower-bound tightness experiment for the
 // semi-synchronous and sporadic message-passing cells (the two with
-// nontrivial min/max bound expressions).
-func Tightness(cfg Config) ([]TightnessRow, error) {
+// nontrivial min/max bound expressions). Every run, the searched schedules
+// included, is trace-free and certified against the cell's model; ctx
+// cancels the experiment mid-run.
+func Tightness(ctx context.Context, cfg Config) ([]TightnessRow, error) {
 	cfg = cfg.withDefaults()
 	if err := CheckSpec(cfg.S, cfg.N, 0, false); err != nil {
 		return nil, err
 	}
-	var rows []TightnessRow
-	p := bounds.Params{
-		S: cfg.S, N: cfg.N, B: cfg.B,
-		C1: cfg.C1, C2: cfg.C2,
-		Cmin: cfg.Cmin, Cmax: cfg.Cmax,
-		D1: cfg.D1, D2: cfg.D2,
-		Gamma: cfg.C2,
+	if err := CheckC1(cfg.C1); err != nil {
+		return nil, err
 	}
-
-	// Semi-synchronous MP.
-	{
-		spec := core.Spec{S: cfg.S, N: cfg.N}
-		m := timing.NewSemiSynchronous(cfg.C1, cfg.C2, cfg.D2)
-		slowRep, err := core.RunMPStream(context.TODO(), semisync.NewMP(semisync.Auto), spec, m, timing.Slow, 1, nil, core.StreamOptions{})
-		if err != nil {
-			return nil, err
-		}
-		sr, err := search.SlowestMP(semisync.NewMP(semisync.Auto), spec, m,
-			[]sim.Duration{cfg.C1, (cfg.C1 + cfg.C2) / 2, cfg.C2},
-			[]sim.Duration{0, cfg.D2 / 2, cfg.D2},
-			search.Options{Seed: 1})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, TightnessRow{
-			Cell:       "semi-synchronous/MP",
-			PaperLower: bounds.SemiSyncMPL(p),
-			PaperUpper: bounds.SemiSyncMPU(p),
-			SlowWorst:  float64(slowRep.Finish),
-			Searched:   float64(sr.WorstFinish),
-		})
+	// The sporadic cell's gaps are capped at C2, which also bounds γ.
+	p := cfg.params()
+	p.Gamma = cfg.C2
+	// The search's gap and delay choices lie in each model's admissible
+	// ranges: both ends, and the middle for the semi-synchronous cell.
+	searches := []struct {
+		name         string
+		gaps, delays []sim.Duration
+	}{
+		{"semisync", []sim.Duration{cfg.C1, (cfg.C1 + cfg.C2) / 2, cfg.C2}, []sim.Duration{0, cfg.D2 / 2, cfg.D2}},
+		{"sporadic", []sim.Duration{cfg.C1, cfg.C2}, []sim.Duration{cfg.D1, cfg.D2}},
 	}
-
-	// Sporadic MP (γ bounded by the largest gap choice, C2).
-	{
-		spec := core.Spec{S: cfg.S, N: cfg.N}
-		m := timing.NewSporadic(cfg.C1, cfg.D1, cfg.D2, cfg.C2)
-		slowRep, err := core.RunMPStream(context.TODO(), sporadic.NewMP(), spec, m, timing.Slow, 1, nil, core.StreamOptions{})
+	spec := core.Spec{S: cfg.S, N: cfg.N}
+	rows := make([]TightnessRow, len(searches))
+	for i, sc := range searches {
+		c, _ := registry.Find(sc.name, "MP")
+		m := c.Timing(p, cfg.C2)
+		slow, err := core.RunMPStream(ctx, c.MP, spec, m, timing.Slow, 1, nil, core.StreamOptions{})
 		if err != nil {
 			return nil, err
 		}
-		sr, err := search.SlowestMP(sporadic.NewMP(), spec, m,
-			[]sim.Duration{cfg.C1, cfg.C2},
-			[]sim.Duration{cfg.D1, cfg.D2},
-			search.Options{Seed: 1})
+		sr, err := search.SlowestMP(ctx, c.MP, spec, m, sc.gaps, sc.delays, search.Options{Seed: 1})
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, TightnessRow{
-			Cell:       "sporadic/MP",
-			PaperLower: bounds.SporadicMPL(p),
-			PaperUpper: bounds.SporadicMPU(p),
-			SlowWorst:  float64(slowRep.Finish),
+		lower, upper := c.Bounds(p)
+		rows[i] = TightnessRow{
+			Cell:       c.Row + "/" + c.Comm,
+			PaperLower: lower,
+			PaperUpper: upper,
+			SlowWorst:  float64(slow.Finish),
 			Searched:   float64(sr.WorstFinish),
-		})
+		}
 	}
 	return rows, nil
 }

@@ -8,17 +8,19 @@
 //
 // A candidate schedule is a vector of choices like internal/explore's, but
 // instead of enumerating the whole lattice the search random-restarts and
-// hill-climbs, so it scales to instances far beyond exhaustive reach.
+// hill-climbs, so it scales to instances far beyond exhaustive reach. Every
+// candidate runs through core's audited runner, trace-free and certified
+// against the model, and a candidate the model does not admit fails the
+// search: a slow schedule only bears on the bounds if it is admissible.
 package search
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
 	"sessionproblem/internal/core"
-	"sessionproblem/internal/mp"
 	"sessionproblem/internal/sim"
-	"sessionproblem/internal/sm"
 	"sessionproblem/internal/timing"
 )
 
@@ -120,8 +122,9 @@ func (v *vectorScheduler) Delay(src, dst int) sim.Duration {
 }
 
 // SlowestSM searches for the slowest shared-memory schedule of alg with
-// gaps drawn from gapChoices (which must be admissible for the model).
-func SlowestSM(alg core.SMAlgorithm, spec core.Spec, m timing.Model,
+// gaps drawn from gapChoices, which must be admissible for the model. ctx
+// cancels the search.
+func SlowestSM(ctx context.Context, alg core.SMAlgorithm, spec core.Spec, m timing.Model,
 	gapChoices []sim.Duration, opts Options) (*Result, error) {
 	if len(gapChoices) == 0 {
 		return nil, errors.New("search: no gap choices")
@@ -132,25 +135,16 @@ func SlowestSM(alg core.SMAlgorithm, spec core.Spec, m timing.Model,
 		return nil, err
 	}
 	numProcs := len(probe.Procs)
-	vecLen := numProcs * opts.Depth
-
+	var rs core.RunScratch
 	eval := func(digits []int) (sim.Time, int, error) {
-		sys, err := alg.BuildSM(spec, m)
-		if err != nil {
-			return 0, 0, err
-		}
 		sched := newVectorScheduler(numProcs, opts.Depth, 0, gapChoices, nil, digits)
-		res, err := sm.Run(sys, sched, sm.Options{})
-		if err != nil {
-			return 0, 0, err
-		}
-		return res.Finish, res.Trace.CountSessions(), nil
+		return admitted(core.AuditSM(ctx, alg, spec, m, sched, core.FaultRun{Scratch: &rs}))
 	}
-	return climb(vecLen, len(gapChoices), opts, eval)
+	return climb(numProcs*opts.Depth, len(gapChoices), opts, eval)
 }
 
 // SlowestMP searches for the slowest message-passing schedule.
-func SlowestMP(alg core.MPAlgorithm, spec core.Spec, m timing.Model,
+func SlowestMP(ctx context.Context, alg core.MPAlgorithm, spec core.Spec, m timing.Model,
 	gapChoices, delayChoices []sim.Duration, opts Options) (*Result, error) {
 	if len(gapChoices) == 0 || len(delayChoices) == 0 {
 		return nil, errors.New("search: need gap and delay choices")
@@ -160,22 +154,25 @@ func SlowestMP(alg core.MPAlgorithm, spec core.Spec, m timing.Model,
 	}
 	opts = opts.withDefaults()
 	numProcs := spec.N
-	vecLen := numProcs*opts.Depth + opts.SendDepth*numProcs
-
+	var rs core.RunScratch
 	eval := func(digits []int) (sim.Time, int, error) {
-		sys, err := alg.BuildMP(spec, m)
-		if err != nil {
-			return 0, 0, err
-		}
 		sched := newVectorScheduler(numProcs, opts.Depth, opts.SendDepth,
 			gapChoices, delayChoices, digits)
-		res, err := mp.Run(sys, sched, mp.Options{})
-		if err != nil {
-			return 0, 0, err
-		}
-		return res.Finish, res.Trace.CountSessions(), nil
+		return admitted(core.AuditMP(ctx, alg, spec, m, sched, core.FaultRun{Scratch: &rs}))
 	}
-	return climb(vecLen, len(gapChoices), opts, eval)
+	return climb(numProcs*opts.Depth+opts.SendDepth*numProcs, len(gapChoices), opts, eval)
+}
+
+// admitted reads a candidate's running time and sessions from its audited
+// run; a schedule the model does not admit is an error.
+func admitted(rep *core.Report, err error) (sim.Time, int, error) {
+	if err != nil {
+		return 0, 0, err
+	}
+	if rep.Audit.FirstViolation != "" {
+		return 0, 0, fmt.Errorf("schedule not admissible: %s", rep.Audit.FirstViolation)
+	}
+	return rep.Finish, rep.Sessions, nil
 }
 
 // climb performs random-restart hill climbing over digit vectors.

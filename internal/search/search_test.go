@@ -1,8 +1,11 @@
 package search
 
 import (
+	"context"
+	"strings"
 	"testing"
 
+	"sessionproblem/internal/alg/async"
 	"sessionproblem/internal/alg/periodic"
 	"sessionproblem/internal/alg/semisync"
 	"sessionproblem/internal/alg/sporadic"
@@ -21,7 +24,7 @@ func TestSlowestSMFindsLowerBound(t *testing.T) {
 	// search still yields a semi-synchronous-style slow schedule; use the
 	// semisync model for admissibility realism instead.
 	mSS := timing.NewSemiSynchronous(2, 9, 0)
-	res, err := SlowestSM(periodic.NewSM(), spec, mSS, []sim.Duration{2, 5, 9}, Options{Seed: 7})
+	res, err := SlowestSM(context.Background(), periodic.NewSM(), spec, mSS, []sim.Duration{2, 5, 9}, Options{Seed: 7})
 	if err != nil {
 		t.Fatalf("SlowestSM: %v", err)
 	}
@@ -42,7 +45,7 @@ func TestSlowestSMNeverExceedsUpperBound(t *testing.T) {
 	// upper bound for the semi-synchronous model.
 	spec := core.Spec{S: 3, N: 4, B: 3}
 	m := timing.NewSemiSynchronous(2, 8, 0)
-	res, err := SlowestSM(semisync.NewSM(semisync.Auto), spec, m,
+	res, err := SlowestSM(context.Background(), semisync.NewSM(semisync.Auto), spec, m,
 		[]sim.Duration{2, 4, 8}, Options{Seed: 3})
 	if err != nil {
 		t.Fatalf("SlowestSM: %v", err)
@@ -63,7 +66,7 @@ func TestSlowestMPBeatsSlowStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Slow run: %v", err)
 	}
-	res, err := SlowestMP(sporadic.NewMP(), spec, m,
+	res, err := SlowestMP(context.Background(), sporadic.NewMP(), spec, m,
 		[]sim.Duration{2, 8}, []sim.Duration{4, 28}, Options{Seed: 11, Restarts: 6})
 	if err != nil {
 		t.Fatalf("SlowestMP: %v", err)
@@ -79,7 +82,7 @@ func TestSlowestMPBeatsSlowStrategy(t *testing.T) {
 func TestSlowestMPRespectsGammaBound(t *testing.T) {
 	spec := core.Spec{S: 3, N: 3}
 	m := timing.NewSporadic(2, 4, 28, 8)
-	res, err := SlowestMP(sporadic.NewMP(), spec, m,
+	res, err := SlowestMP(context.Background(), sporadic.NewMP(), spec, m,
 		[]sim.Duration{2, 8}, []sim.Duration{4, 28}, Options{Seed: 5})
 	if err != nil {
 		t.Fatalf("SlowestMP: %v", err)
@@ -95,11 +98,11 @@ func TestSlowestMPRespectsGammaBound(t *testing.T) {
 
 func TestSearchValidation(t *testing.T) {
 	spec := core.Spec{S: 2, N: 2, B: 2}
-	if _, err := SlowestSM(periodic.NewSM(), spec, timing.NewSemiSynchronous(1, 2, 0),
+	if _, err := SlowestSM(context.Background(), periodic.NewSM(), spec, timing.NewSemiSynchronous(1, 2, 0),
 		nil, Options{}); err == nil {
 		t.Error("empty gap choices accepted")
 	}
-	if _, err := SlowestMP(sporadic.NewMP(), spec, timing.NewSporadic(1, 0, 4, 0),
+	if _, err := SlowestMP(context.Background(), sporadic.NewMP(), spec, timing.NewSporadic(1, 0, 4, 0),
 		[]sim.Duration{1, 2}, []sim.Duration{1}, Options{}); err == nil {
 		t.Error("mismatched choice sets accepted")
 	}
@@ -109,7 +112,7 @@ func TestSearchDeterminism(t *testing.T) {
 	spec := core.Spec{S: 3, N: 3}
 	m := timing.NewSporadic(2, 4, 28, 8)
 	run := func() *Result {
-		res, err := SlowestMP(sporadic.NewMP(), spec, m,
+		res, err := SlowestMP(context.Background(), sporadic.NewMP(), spec, m,
 			[]sim.Duration{2, 8}, []sim.Duration{4, 28}, Options{Seed: 42})
 		if err != nil {
 			t.Fatalf("SlowestMP: %v", err)
@@ -119,5 +122,16 @@ func TestSearchDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if a.WorstFinish != b.WorstFinish || a.Evaluations != b.Evaluations {
 		t.Error("search is nondeterministic for a fixed seed")
+	}
+}
+
+// TestInadmissibleChoicesFailTheSearch: a gap choice above the
+// semi-synchronous c2 yields candidates the model does not admit, and the
+// search fails on the first one instead of reporting its running time.
+func TestInadmissibleChoicesFailTheSearch(t *testing.T) {
+	_, err := SlowestSM(context.Background(), async.NewSM(), core.Spec{S: 2, N: 2, B: 2},
+		timing.NewSemiSynchronous(2, 6, 0), []sim.Duration{2, 9}, Options{Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "gap 9 outside [2,6]") {
+		t.Errorf("search over inadmissible gaps: err = %v, want the broken bound", err)
 	}
 }

@@ -78,42 +78,6 @@ func PerSessionTimes(tr *model.Trace) []sim.Duration {
 	return out
 }
 
-// ProcStats summarizes one process's activity.
-type ProcStats struct {
-	Proc      int
-	Steps     int
-	PortSteps int
-	FirstAt   sim.Time
-	LastAt    sim.Time
-	MaxGap    sim.Duration
-}
-
-// PerProcess computes stats for every regular process.
-func PerProcess(tr *model.Trace) []ProcStats {
-	out := make([]ProcStats, tr.NumProcs)
-	for p := range out {
-		out[p] = ProcStats{Proc: p, FirstAt: -1}
-	}
-	for _, st := range tr.Steps {
-		if st.Proc == model.NetworkProc {
-			continue
-		}
-		ps := &out[st.Proc]
-		ps.Steps++
-		if st.IsPortStep() {
-			ps.PortSteps++
-		}
-		if ps.FirstAt == -1 {
-			ps.FirstAt = st.Time
-		}
-		ps.LastAt = st.Time
-	}
-	for p := range out {
-		out[p].MaxGap = tr.MaxStepGap(p)
-	}
-	return out
-}
-
 // Render writes a human-readable listing of the trace: one line per step,
 // followed by the session decomposition. Limit caps the number of step
 // lines (0 = all).

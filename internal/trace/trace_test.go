@@ -74,30 +74,6 @@ func TestPerSessionTimes(t *testing.T) {
 	}
 }
 
-func TestPerProcess(t *testing.T) {
-	tr := mkTrace(2,
-		[3]int{0, 2, 0},
-		[3]int{1, 3, model.NoPort},
-		[3]int{0, 7, 0},
-	)
-	tr.Steps = append(tr.Steps, model.Step{
-		Index: 3, Proc: model.NetworkProc, Time: 8, Port: model.NoPort,
-	})
-	ps := PerProcess(tr)
-	if len(ps) != 2 {
-		t.Fatalf("PerProcess: got %d", len(ps))
-	}
-	if ps[0].Steps != 2 || ps[0].PortSteps != 2 || ps[0].FirstAt != 2 || ps[0].LastAt != 7 {
-		t.Errorf("proc 0 stats wrong: %+v", ps[0])
-	}
-	if ps[0].MaxGap != 5 {
-		t.Errorf("proc 0 MaxGap: got %v, want 5", ps[0].MaxGap)
-	}
-	if ps[1].Steps != 1 || ps[1].PortSteps != 0 {
-		t.Errorf("proc 1 stats wrong: %+v", ps[1])
-	}
-}
-
 func TestRender(t *testing.T) {
 	tr := mkTrace(2,
 		[3]int{0, 1, 0},

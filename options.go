@@ -81,7 +81,6 @@ type settings struct {
 	c1, c2, cmin, cmax, d1, d2 sim.Duration
 	seeds                      int
 	parallelism                int
-	timeout                    time.Duration
 	observer                   func(Observation)
 
 	strategy string
@@ -261,8 +260,8 @@ func (s settings) parseStrategy() (timing.Strategy, error) {
 
 // Option configures an API call. The zero configuration is the library
 // default: the mid-sized instance used by cmd/sessiontable (s=6, n=8, b=3,
-// c1=2, c2=10, d1=4, d2=28), 3 seeds per strategy, GOMAXPROCS workers, no
-// timeout.
+// c1=2, c2=10, d1=4, d2=28), 3 seeds per strategy, GOMAXPROCS workers. A
+// deadline belongs on the call's ctx: every run polls it.
 type Option func(*settings)
 
 // WithSpec sets the problem instance: s required sessions over n ports.
@@ -327,12 +326,6 @@ func WithSeedBatching(on bool) Option {
 // count. Default: the paper's four fixed extremes.
 func WithTopologies(names ...string) Option {
 	return func(cfg *settings) { cfg.topologies = append([]string(nil), names...) }
-}
-
-// WithTimeout bounds the whole call in wall-clock time; in-flight
-// simulations are cancelled mid-computation when it expires.
-func WithTimeout(d time.Duration) Option {
-	return func(cfg *settings) { cfg.timeout = d }
 }
 
 // WithObserver registers a callback invoked after every simulator run.

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"text/tabwriter"
 	"time"
 
 	"sessionproblem/internal/alg/registry"
@@ -14,6 +13,7 @@ import (
 	"sessionproblem/internal/engine"
 	"sessionproblem/internal/fault"
 	"sessionproblem/internal/harness"
+	"sessionproblem/internal/stats"
 	"sessionproblem/internal/timing"
 )
 
@@ -66,14 +66,6 @@ func cellOf(c harness.Cell) TableCell {
 	}
 }
 
-// withTimeout applies the configured wall-clock bound to ctx.
-func (s settings) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.timeout > 0 {
-		return context.WithTimeout(ctx, s.timeout)
-	}
-	return context.WithCancel(ctx)
-}
-
 // Table1 regenerates the paper's Table 1 — upper and lower bounds for the
 // (s, n)-session problem across five timing models and two communication
 // models — running the full (cell × strategy × seed) matrix on a worker
@@ -84,8 +76,6 @@ func Table1(ctx context.Context, opts ...Option) (*TableResult, error) {
 		return nil, err
 	}
 	defer cfg.close()
-	ctx, cancel := cfg.withTimeout(ctx)
-	defer cancel()
 	eng := cfg.engine()
 	cells, err := harness.Table1Ctx(ctx, cfg.harnessConfig(eng))
 	if err != nil {
@@ -100,14 +90,17 @@ func Table1(ctx context.Context, opts ...Option) (*TableResult, error) {
 
 // WriteTable renders cells in cmd/sessiontable's aligned text format.
 func WriteTable(w io.Writer, cells []TableCell) error {
-	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "MODEL\tCOMM\tUNIT\tPAPER L\tPAPER U\tMEASURED MAX\tMEAN\tVERDICT\tALGORITHM")
-	for _, c := range cells {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%.0f\t%.0f\t%.0f\t%.1f\t%s\t%s\n",
-			c.Model, c.Comm, c.Unit, c.PaperLower, c.PaperUpper,
-			c.MeasuredMax, c.MeasuredMean, c.Verdict, c.Algorithm)
+	hcells := make([]harness.Cell, len(cells))
+	for i, c := range cells {
+		hcells[i] = harness.Cell{
+			Row: c.Model, Comm: c.Comm, Unit: c.Unit,
+			Lower: c.PaperLower, Upper: c.PaperUpper,
+			Measured:      stats.Summary{Max: c.MeasuredMax, Mean: c.MeasuredMean},
+			RealizesLower: c.RealizesLower, RespectsUpper: c.RespectsUpper,
+			Algorithm: c.Algorithm,
+		}
 	}
-	return tw.Flush()
+	return harness.WriteTable(w, hcells)
 }
 
 // HierarchyRow is one timing model's entry in the model-hierarchy summary.
@@ -135,8 +128,6 @@ func Hierarchy(ctx context.Context, opts ...Option) (*HierarchyResult, error) {
 		return nil, err
 	}
 	defer cfg.close()
-	ctx, cancel := cfg.withTimeout(ctx)
-	defer cancel()
 	eng := cfg.engine()
 	rows, err := harness.HierarchyCtx(ctx, cfg.harnessConfig(eng))
 	if err != nil {
@@ -222,26 +213,7 @@ func Sweep(ctx context.Context, kind SweepKind, opts ...Option) (*SweepResult, e
 		return nil, err
 	}
 	defer cfg.close()
-	ctx, cancel := cfg.withTimeout(ctx)
-	defer cancel()
 	eng := cfg.engine()
-
-	if kind == SweepNetworkDiameter {
-		pts, err := harness.SweepDiameter(ctx, cfg.s, cfg.n, cfg.c2, cfg.d2, cfg.seeds, cfg.topologies...)
-		if err != nil {
-			return nil, err
-		}
-		res := &SweepResult{Stats: statsOf(eng)}
-		for _, p := range pts {
-			res.Points = append(res.Points, SweepPoint{
-				X:          float64(p.Diameter),
-				Label:      p.Topology,
-				Measured:   p.Measured,
-				PaperUpper: p.PaperUpper,
-			})
-		}
-		return res, nil
-	}
 
 	spec := harness.SweepSpec{
 		S: cfg.s, N: cfg.n,
@@ -261,6 +233,9 @@ func Sweep(ctx context.Context, kind SweepKind, opts ...Option) (*SweepResult, e
 		if len(spec.Cmaxs) == 0 {
 			return nil, fmt.Errorf("sessionproblem: SweepPeriodicVsSporadic needs WithPeriodMaxima")
 		}
+	case SweepNetworkDiameter:
+		spec.Kind = harness.SweepKindNetworkDiameter
+		spec.Topologies = cfg.topologies
 	case SweepFaultIntensity:
 		spec.Kind = harness.SweepKindFaultIntensity
 		spec.Intensities = cfg.sortedIntensities()
@@ -432,8 +407,6 @@ func Solve(ctx context.Context, m Model, comm Comm, opts ...Option) (*Report, er
 		return nil, err
 	}
 	defer cfg.close()
-	ctx, cancel := cfg.withTimeout(ctx)
-	defer cancel()
 	st, err := cfg.parseStrategy()
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -138,6 +139,19 @@ func TestSweepFacadeRequiresPeriodMaxima(t *testing.T) {
 		sessionproblem.WithSpec(4, 3))
 	if err == nil {
 		t.Fatal("Sweep(SweepPeriodicVsSporadic) without WithPeriodMaxima: want error")
+	}
+}
+
+// TestTableAndHierarchyRejectZeroC1: Table1 and Hierarchy answer c1 = 0
+// with the error PaperEnvelope gives for the cells whose bounds divide by
+// c1, instead of running those cells at the default c1.
+func TestTableAndHierarchyRejectZeroC1(t *testing.T) {
+	opts := append(small(), sessionproblem.WithStepBounds(0, 10))
+	if _, err := sessionproblem.Table1(context.Background(), opts...); err == nil || !strings.Contains(err.Error(), "c1 must be >= 1, got 0") {
+		t.Errorf("Table1 at c1 = 0: err = %v, want the c1 error", err)
+	}
+	if _, err := sessionproblem.Hierarchy(context.Background(), opts...); err == nil || !strings.Contains(err.Error(), "c1 must be >= 1, got 0") {
+		t.Errorf("Hierarchy at c1 = 0: err = %v, want the c1 error", err)
 	}
 }
 
