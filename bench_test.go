@@ -26,6 +26,7 @@ import (
 	"sessionproblem/internal/alg/synchronous"
 	"sessionproblem/internal/causal"
 	"sessionproblem/internal/core"
+	"sessionproblem/internal/engine"
 	"sessionproblem/internal/explore"
 	"sessionproblem/internal/fault"
 	"sessionproblem/internal/harness"
@@ -632,11 +633,36 @@ func BenchmarkFaultInjectionOverhead(b *testing.B) {
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
+			// Every op runs the same seeds, so the work per op does not
+			// depend on b.N.
 			for i := 0; i < b.N; i++ {
-				if err := v.run(uint64(i) + 1); err != nil {
-					b.Fatal(err)
+				for seed := uint64(1); seed <= uint64(benchCfg.Seeds); seed++ {
+					if err := v.run(seed); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})
 	}
+}
+
+// BenchmarkFaultSweep runs the default faultsweep matrix (every
+// message-passing cell × the six default intensities × every strategy) at
+// two seeds, so every op does the same work. steps/op, faults/op and
+// violations/op are exact counts from the engine's accounting; the
+// allocs/op budget in bench_budget.json keeps the sweep from formatting
+// text per fault or per broken bound again.
+func BenchmarkFaultSweep(b *testing.B) {
+	var counts engine.Counts
+	for i := 0; i < b.N; i++ {
+		eng := engine.New(engine.WithParallelism(1),
+			engine.WithWorkerState(func() any { return new(core.RunScratch) }))
+		if _, err := harness.FaultSweep(context.Background(), harness.FaultSweepConfig{Seeds: 2, Engine: eng}); err != nil {
+			b.Fatal(err)
+		}
+		counts = eng.Stats().Counts
+	}
+	b.ReportMetric(float64(counts.Steps), "steps/op")
+	b.ReportMetric(float64(counts.Faults), "faults/op")
+	b.ReportMetric(float64(counts.Violations), "violations/op")
 }

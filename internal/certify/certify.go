@@ -168,16 +168,16 @@ func (c *Counter) Err() error {
 	return c.checker.Err()
 }
 
-// Violations returns what timing.Model.AdmissibilityViolations would for the
-// observed stream: a single "trace invalid" entry for a malformed stream,
-// else every violation a CollectViolations checker recorded (nil when there
-// were none).
-func (c *Counter) Violations() []string {
+// Violations returns what timing.Model.AdmissibilityViolations would for
+// the observed stream: for a malformed stream, only the error Err reports
+// for it; else every violation a CollectViolations checker recorded (nil
+// when there were none).
+func (c *Counter) Violations() ([]timing.Violation, error) {
 	if c.invalid != nil {
-		return []string{fmt.Sprintf("trace invalid: %v", c.invalid)}
+		return nil, c.Err()
 	}
 	if c.checker == nil {
-		return nil
+		return nil, nil
 	}
-	return c.checker.Violations()
+	return c.checker.Violations(), nil
 }

@@ -131,8 +131,10 @@ func FuzzCounterMatchesTrace(f *testing.F) {
 		if got, want := errText(failFast.Err()), errText(m.CheckAdmissible(tr, delays)); got != want {
 			t.Fatalf("%v: Err() = %q, CheckAdmissible = %q", m.Kind, got, want)
 		}
-		if got, want := collecting.Violations(), m.AdmissibilityViolations(tr, delays); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: Violations() = %q, AdmissibilityViolations = %q", m.Kind, got, want)
+		got, gotErr := collecting.Violations()
+		want, wantErr := m.AdmissibilityViolations(tr, delays)
+		if !reflect.DeepEqual(got, want) || errText(gotErr) != errText(wantErr) {
+			t.Fatalf("%v: Violations() = %v, %v; AdmissibilityViolations = %v, %v", m.Kind, got, gotErr, want, wantErr)
 		}
 		if tr.Validate() != nil {
 			return

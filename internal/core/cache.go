@@ -43,7 +43,8 @@ type RunSummary struct {
 	Faults int
 
 	// Audit is the fault auditor's classification (zero for plain runs).
-	// Its Violations slice is a private copy.
+	// Its violations are held as text, in Violations.Text: a private
+	// rendering of the report's list, and the form the v1 codec stores.
 	Audit fault.Audit
 
 	// Spans is the greedy session decomposition of the computation.
@@ -51,7 +52,7 @@ type RunSummary struct {
 }
 
 // Summarize digests a report into a cache-safe summary: all scalars are
-// copied, the violations slice is cloned, and the session spans are taken
+// copied, the violations are rendered, and the session spans are taken
 // from the trace when the report has one, else copied from the certifier's
 // decomposition.
 func Summarize(rep *Report) *RunSummary {
@@ -68,7 +69,7 @@ func Summarize(rep *Report) *RunSummary {
 		Faults:    len(rep.Faults),
 		Audit:     rep.Audit,
 	}
-	sum.Audit.Violations = append([]string(nil), rep.Audit.Violations...)
+	sum.Audit.Violations = fault.Violations{Text: rep.Audit.Violations.Strings()}
 	if rep.Trace != nil {
 		sum.Spans = trace.Sessions(rep.Trace)
 	} else {

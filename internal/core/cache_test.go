@@ -63,7 +63,8 @@ func TestSummarizeNoAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Audit.Violations = []string{"v1"}
+	rep.Faults = []fault.Event{{Kind: fault.MessageDrop, At: 3, Proc: 1, Src: 0}}
+	rep.Audit.Violations = fault.Violations{Faults: rep.Faults, Text: []string{"v1"}}
 	sum := Summarize(rep)
 
 	if sum.Steps != rep.Steps() || sum.Sessions != rep.Sessions || sum.Finish != rep.Finish {
@@ -74,10 +75,12 @@ func TestSummarizeNoAlias(t *testing.T) {
 	}
 
 	// Clobber the report's mutable state; the summary must not notice.
-	rep.Audit.Violations[0] = "CLOBBERED"
+	rep.Faults[0].At = 99
+	rep.Audit.Violations.Text[0] = "CLOBBERED"
 	rep.Trace.Steps = rep.Trace.Steps[:0]
-	if sum.Audit.Violations[0] != "v1" {
-		t.Fatal("summary aliases the report's violations slice")
+	if got := sum.Audit.Violations.Strings(); len(got) != 2 ||
+		got[0] != "fault message-drop at t=3 on message 0->1: lost in transit" || got[1] != "v1" {
+		t.Fatalf("summary aliases the report's violations: %q", got)
 	}
 	if sum.Spans[0].End == 0 && sum.Spans[0].Start == 0 && sum.Steps == 0 {
 		t.Fatal("summary aliases the trace")

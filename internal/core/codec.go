@@ -45,11 +45,13 @@ type summaryJSON struct {
 type auditJSON struct {
 	Verdict    int      `json:"verdict,omitempty"`
 	Violations []string `json:"violations,omitempty"`
-	First      string   `json:"first,omitempty"`
-	Achieved   int      `json:"achieved,omitempty"`
-	Required   int      `json:"required,omitempty"`
-	PortsIdle  bool     `json:"portsIdle,omitempty"`
-	Injected   int      `json:"injected,omitempty"`
+	// First repeats Violations[0]; the v1 format keeps it, and the
+	// decoder reads the list.
+	First     string `json:"first,omitempty"`
+	Achieved  int    `json:"achieved,omitempty"`
+	Required  int    `json:"required,omitempty"`
+	PortsIdle bool   `json:"portsIdle,omitempty"`
+	Injected  int    `json:"injected,omitempty"`
 }
 
 type spanJSON struct {
@@ -65,6 +67,7 @@ func EncodeSummary(sum *RunSummary) ([]byte, error) {
 	if sum == nil {
 		return nil, fmt.Errorf("core: cannot encode a nil summary")
 	}
+	violations := sum.Audit.Violations.Strings()
 	w := summaryJSON{
 		V:         SummaryCodecVersion,
 		Algorithm: sum.Algorithm,
@@ -81,13 +84,15 @@ func EncodeSummary(sum *RunSummary) ([]byte, error) {
 		Faults:    sum.Faults,
 		Audit: auditJSON{
 			Verdict:    int(sum.Audit.Verdict),
-			Violations: sum.Audit.Violations,
-			First:      sum.Audit.FirstViolation,
+			Violations: violations,
 			Achieved:   sum.Audit.SessionsAchieved,
 			Required:   sum.Audit.SessionsRequired,
 			PortsIdle:  sum.Audit.PortsIdle,
 			Injected:   sum.Audit.FaultsInjected,
 		},
+	}
+	if len(violations) > 0 {
+		w.Audit.First = violations[0]
 	}
 	for _, sp := range sum.Spans {
 		w.Spans = append(w.Spans, spanJSON{
@@ -122,8 +127,7 @@ func DecodeSummary(data []byte) (*RunSummary, error) {
 		Faults:    w.Faults,
 		Audit: fault.Audit{
 			Verdict:          fault.Verdict(w.Audit.Verdict),
-			Violations:       w.Audit.Violations,
-			FirstViolation:   w.Audit.First,
+			Violations:       fault.Violations{Text: w.Audit.Violations},
 			SessionsAchieved: w.Audit.Achieved,
 			SessionsRequired: w.Audit.Required,
 			PortsIdle:        w.Audit.PortsIdle,

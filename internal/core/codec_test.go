@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,8 +27,7 @@ func fullSummary() *RunSummary {
 		Faults:    3,
 		Audit: fault.Audit{
 			Verdict:          fault.VerdictRecovered,
-			Violations:       []string{"t=3 crash port 1", "step overrun at t=9"},
-			FirstViolation:   "t=3 crash port 1",
+			Violations:       fault.Violations{Text: []string{"t=3 crash port 1", "step overrun at t=9"}},
 			SessionsAchieved: 4,
 			SessionsRequired: 4,
 			PortsIdle:        true,
@@ -55,25 +55,55 @@ func TestSummaryCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeSummaryBytes pins the v1 encoding byte for byte: disk-cache
+// objects and journal frames written by earlier builds must keep decoding,
+// and new ones must not drift. "first" repeats the first violation.
+func TestEncodeSummaryBytes(t *testing.T) {
+	data, err := EncodeSummary(fullSummary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"v":1,"alg":"A(p)","model":2,"s":4,"n":3,"b":2,"finish":123,"sessions":4,"rounds":7,"gamma":11,"messages":42,"steps":250,"faults":3,` +
+		`"audit":{"verdict":2,"violations":["t=3 crash port 1","step overrun at t=9"],"first":"t=3 crash port 1","achieved":4,"required":4,"portsIdle":true,"injected":3},` +
+		`"spans":[{"i":1,"fs":0,"ls":8,"start":0,"end":20},{"i":2,"fs":9,"ls":17,"start":21,"end":55}]}`
+	if string(data) != want {
+		t.Errorf("EncodeSummary:\n got %s\nwant %s", data, want)
+	}
+}
+
 // A real run's summary must round-trip exactly: this is the property the
-// disk cache tier depends on for byte-identical cached results.
+// disk cache tier depends on for byte-identical cached results. The faulted
+// run's violations are rendered by Summarize and come back as that text.
 func TestSummaryCodecRoundTripRealRun(t *testing.T) {
 	m := timing.NewSynchronous(2, 5)
-	rep, err := RunMP(fixedMP{k: 3}, Spec{S: 3, N: 3}, m, timing.Slow, 1)
+	plain, err := RunMP(fixedMP{k: 3}, Spec{S: 3, N: 3}, m, timing.Slow, 1)
 	if err != nil {
 		t.Fatalf("RunMP: %v", err)
 	}
-	want := Summarize(rep)
-	data, err := EncodeSummary(want)
+	faulted, err := RunMPFaulted(context.Background(), chattyMP{}, Spec{S: 1, N: 3}, m, timing.Slow, 1,
+		FaultRun{Injector: dropAll{}, MaxSteps: 500})
 	if err != nil {
-		t.Fatalf("EncodeSummary: %v", err)
+		t.Fatalf("RunMPFaulted: %v", err)
 	}
-	got, err := DecodeSummary(data)
-	if err != nil {
-		t.Fatalf("DecodeSummary: %v", err)
+	for _, rep := range []*Report{plain, faulted} {
+		want := Summarize(rep)
+		data, err := EncodeSummary(want)
+		if err != nil {
+			t.Fatalf("EncodeSummary: %v", err)
+		}
+		got, err := DecodeSummary(data)
+		if err != nil {
+			t.Fatalf("DecodeSummary: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("real-run round trip mismatch:\n got %+v\nwant %+v", got, want)
+		}
+		if gotList, wantList := got.Audit.Violations.Strings(), rep.Audit.Violations.Strings(); !reflect.DeepEqual(gotList, wantList) {
+			t.Errorf("decoded violations %q, report renders %q", gotList, wantList)
+		}
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("real-run round trip mismatch:\n got %+v\nwant %+v", got, want)
+	if faulted.Audit.Violations.Len() == 0 {
+		t.Fatal("the faulted run recorded no violations")
 	}
 }
 
@@ -132,8 +162,8 @@ func FuzzDecodeSummary(f *testing.F) {
 		if err != nil {
 			t.Fatalf("DecodeSummary of %s: %v", enc, err)
 		}
-		if len(sum.Audit.Violations) == 0 {
-			sum.Audit.Violations = nil // the encoder omits an empty list
+		if len(sum.Audit.Violations.Text) == 0 {
+			sum.Audit.Violations.Text = nil // the encoder omits an empty list
 		}
 		if !reflect.DeepEqual(got, sum) {
 			t.Fatalf("round trip changed the summary:\n got %+v\nwant %+v", got, sum)

@@ -74,7 +74,7 @@ func TestRunSMFaultedAdmissibleWithoutInjector(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunSMFaulted: %v", err)
 	}
-	if !rep.Audit.Admissible() || rep.Audit.FirstViolation != "" {
+	if !rep.Audit.Admissible() || rep.Audit.Violations.Len() != 0 {
 		t.Fatalf("fault-free run audited %+v", rep.Audit)
 	}
 	if rep.Sessions != 3 || rep.Audit.SessionsAchieved != 3 || rep.Audit.SessionsRequired != 3 {
@@ -114,11 +114,12 @@ func TestRunSMFaultedRecoversFromOverrun(t *testing.T) {
 		t.Fatalf("audited %v, want recovered: %+v", rep.Audit.Verdict, rep.Audit)
 	}
 	// Both the injected fault and the resulting gap violation are reported.
-	if len(rep.Audit.Violations) < 2 {
-		t.Fatalf("violations: %v", rep.Audit.Violations)
+	vs := rep.Audit.Violations.Strings()
+	if len(vs) < 2 {
+		t.Fatalf("violations: %q", vs)
 	}
-	if !strings.Contains(rep.Audit.FirstViolation, "step-overrun") {
-		t.Errorf("first violation %q does not name the fault", rep.Audit.FirstViolation)
+	if !strings.Contains(vs[0], "step-overrun") {
+		t.Errorf("first violation %q does not name the fault", vs[0])
 	}
 	if rep.Audit.FaultsInjected != 1 || len(rep.Faults) != 1 {
 		t.Errorf("fault accounting: audit=%d report=%d", rep.Audit.FaultsInjected, len(rep.Faults))
@@ -155,14 +156,8 @@ func TestRunMPFaultedNoTerminationAudited(t *testing.T) {
 	if rep.Audit.Verdict != fault.VerdictBroken {
 		t.Fatalf("starved run audited %v", rep.Audit.Verdict)
 	}
-	found := false
-	for _, v := range rep.Audit.Violations {
-		if v == noTerminationNote {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("violations missing the step-cap note: %v", rep.Audit.Violations)
+	if text := rep.Audit.Violations.Text; len(text) != 1 || text[0] != noTerminationNote {
+		t.Fatalf("violations missing the step-cap note: %q", rep.Audit.Violations.Strings())
 	}
 	if rep.Audit.Silent() {
 		t.Fatal("non-terminating faulted run must not be silent")
@@ -193,5 +188,95 @@ func TestRunFaultedPropagatesCancellation(t *testing.T) {
 	mm := timing.NewSynchronous(2, 5)
 	if _, err := RunMPFaulted(ctx, chattyMP{}, Spec{S: 1, N: 3}, mm, timing.Slow, 1, FaultRun{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+}
+
+// strikeOnce applies one scripted fault: step at its stepAt-th StepEffect
+// call and deliv at its delivAt-th DeliveryEffect call (both counted from
+// zero); every other consultation is fault-free.
+type strikeOnce struct {
+	step                  fault.StepEffect
+	deliv                 fault.DeliveryEffect
+	stepAt, delivAt       int
+	stepCalls, delivCalls int
+}
+
+func (s *strikeOnce) StepEffect(int, sim.Time) fault.StepEffect {
+	s.stepCalls++
+	if s.stepCalls-1 == s.stepAt {
+		return s.step
+	}
+	return fault.StepEffect{}
+}
+
+func (s *strikeOnce) DeliveryEffect(int, int, sim.Time) fault.DeliveryEffect {
+	s.delivCalls++
+	if s.delivCalls-1 == s.delivAt {
+		return s.deliv
+	}
+	return fault.DeliveryEffect{}
+}
+
+// TestFaultEventText pins the exact text of every fault-event form the two
+// executors record: each case strikes one fault and reads the event back
+// through the audited runner.
+func TestFaultEventText(t *testing.T) {
+	ctx := context.Background()
+	m := timing.NewSynchronous(2, 3)
+	cases := []struct {
+		name string
+		mp   bool
+		inj  *strikeOnce
+		want string
+	}{
+		{"SM crash with restart", false,
+			&strikeOnce{step: fault.StepEffect{Kind: fault.Crash, Restart: 7}, stepAt: 2, delivAt: -1},
+			"fault crash at t=4 on p0: restart after 7"},
+		{"SM permanent crash", false,
+			&strikeOnce{step: fault.StepEffect{Kind: fault.Crash}, stepAt: 1, delivAt: -1},
+			"fault crash at t=2 on p1: permanent"},
+		{"SM step overrun", false,
+			&strikeOnce{step: fault.StepEffect{Kind: fault.StepOverrun, Delay: 10}, stepAt: 3, delivAt: -1},
+			"fault step-overrun at t=4 on p1: postponed +10"},
+		{"SM stale read", false,
+			&strikeOnce{step: fault.StepEffect{Kind: fault.StaleRead}, stepAt: 2, delivAt: -1},
+			"fault stale-read at t=4 on p0: variable 0 read pre-update value"},
+		{"MP crash with restart", true,
+			&strikeOnce{step: fault.StepEffect{Kind: fault.Crash, Restart: 7}, stepAt: 0, delivAt: -1},
+			"fault crash at t=2 on p0: restart after 7"},
+		{"MP permanent crash", true,
+			&strikeOnce{step: fault.StepEffect{Kind: fault.Crash}, stepAt: 1, delivAt: -1},
+			"fault crash at t=2 on p1: permanent"},
+		{"MP step overrun", true,
+			&strikeOnce{step: fault.StepEffect{Kind: fault.StepOverrun, Delay: 10}, stepAt: 0, delivAt: -1},
+			"fault step-overrun at t=2 on p0: postponed +10"},
+		{"message drop", true,
+			&strikeOnce{stepAt: -1, deliv: fault.DeliveryEffect{Kind: fault.MessageDrop}, delivAt: 1},
+			"fault message-drop at t=2 on message 0->1: lost in transit"},
+		{"late delivery", true,
+			&strikeOnce{stepAt: -1, deliv: fault.DeliveryEffect{Kind: fault.LateDelivery, Delay: 9}, delivAt: 2},
+			"fault late-delivery at t=2 on message 1->0: delayed +9 beyond schedule"},
+		{"message duplicate", true,
+			&strikeOnce{stepAt: -1, deliv: fault.DeliveryEffect{Kind: fault.MessageDuplicate, DuplicateDelay: 4}, delivAt: 3},
+			"fault message-duplicate at t=2 on message 1->1: second copy delivered at 9"},
+	}
+	for _, tc := range cases {
+		fr := FaultRun{Injector: tc.inj, MaxSteps: 200}
+		var rep *Report
+		var err error
+		if tc.mp {
+			rep, err = AuditMP(ctx, chattyMP{}, Spec{S: 1, N: 2}, m, m.NewScheduler(timing.Slow, 1), fr)
+		} else {
+			rep, err = AuditSM(ctx, fixedSM{k: 3}, Spec{S: 1, N: 2, B: 2}, m, m.NewScheduler(timing.Slow, 1), fr)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(rep.Faults) != 1 {
+			t.Fatalf("%s: %d faults applied, want 1", tc.name, len(rep.Faults))
+		}
+		if got := rep.Faults[0].String(); got != tc.want {
+			t.Errorf("%s: event text %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }

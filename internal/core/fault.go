@@ -62,9 +62,13 @@ func RunMPFaulted(ctx context.Context, alg MPAlgorithm, spec Spec, m timing.Mode
 // audit classifies an audited run from its certifier; capped marks a run
 // the step cap cut short.
 func audit(ctr *certify.Counter, s int, portsIdle bool, faults []fault.Event, capped bool) fault.Audit {
-	violations := ctr.Violations()
-	if capped {
-		violations = append(violations, noTerminationNote)
+	v := fault.Violations{Faults: faults}
+	var err error
+	if v.Bounds, err = ctr.Violations(); err != nil {
+		v.Text = append(v.Text, err.Error())
 	}
-	return fault.Classify(ctr.Sessions(), s, portsIdle, faults, violations)
+	if capped {
+		v.Text = append(v.Text, noTerminationNote)
+	}
+	return fault.Classify(ctr.Sessions(), s, portsIdle, v)
 }

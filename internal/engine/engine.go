@@ -43,6 +43,8 @@ type Counts struct {
 	Messages int
 	// Faults is the number of injected faults applied during the run.
 	Faults int
+	// Violations is the number of violated assumptions its audit recorded.
+	Violations int
 	// BatchForks and BatchFallbacks account the seed-batching layer: seeds
 	// served from a zero-draw probe run's summary, and seeds that ran solo
 	// after a probe that drew (or in a fault sweep's faulted group of more
@@ -316,6 +318,7 @@ func (e *Engine) record(r Result) {
 	e.stats.Counts.Sessions += r.Counts.Sessions
 	e.stats.Counts.Messages += r.Counts.Messages
 	e.stats.Counts.Faults += r.Counts.Faults
+	e.stats.Counts.Violations += r.Counts.Violations
 	e.stats.Counts.BatchForks += r.Counts.BatchForks
 	e.stats.Counts.BatchFallbacks += r.Counts.BatchFallbacks
 }

@@ -305,8 +305,8 @@ func record(res *Result, s int, digits []int, rep *core.Report, err error) {
 	switch {
 	case err != nil:
 		v = Violation{Sessions: -1, Err: err}
-	case rep.Audit.FirstViolation != "":
-		v = Violation{Sessions: rep.Sessions, Err: fmt.Errorf("explore: schedule not admissible: %s", rep.Audit.FirstViolation)}
+	case rep.Audit.Violations.Len() > 0:
+		v = Violation{Sessions: rep.Sessions, Err: fmt.Errorf("explore: schedule not admissible: %s", rep.Audit.Violations.Strings()[0])}
 	default:
 		res.MinSessions = min(res.MinSessions, rep.Sessions)
 		res.WorstFinish = max(res.WorstFinish, rep.Finish)

@@ -41,14 +41,12 @@ func (v Verdict) String() string {
 type Audit struct {
 	// Verdict is the classification.
 	Verdict Verdict
-	// Violations lists every violated assumption: injected faults in
-	// execution order first (drops, duplicates and stale reads leave traces
-	// the timing checker cannot fault — the event log is the only witness),
-	// then every timing-bound violation the trace itself exhibits.
-	Violations []string
-	// FirstViolation is Violations[0], the first violated bound, or ""
-	// when the run was admissible.
-	FirstViolation string
+	// Violations lists every violated assumption, kept as values until a
+	// reader renders them: injected faults in execution order first (drops,
+	// duplicates and stale reads leave traces the timing checker cannot
+	// fault — the event log is the only witness), then every timing-bound
+	// violation the trace itself exhibits.
+	Violations Violations
 	// SessionsAchieved and SessionsRequired compare the computation against
 	// the spec's s.
 	SessionsAchieved int
@@ -57,6 +55,40 @@ type Audit struct {
 	PortsIdle bool
 	// FaultsInjected counts the faults the executor actually applied.
 	FaultsInjected int
+}
+
+// Violations is an audit's list of violated assumptions.
+type Violations struct {
+	// Faults are the applied faults, in execution order.
+	Faults []Event
+	// Bounds are the timing bounds the computation broke, in
+	// timing.Checker.Violations order: gaps by process, then delays in
+	// send order.
+	Bounds []timing.Violation
+	// Text holds violations with no typed form, in order: an invalid
+	// trace, a run the step cap cut short. A run summary keeps its whole
+	// list here, as Strings rendered it.
+	Text []string
+}
+
+// Len counts the violations without rendering them.
+func (v Violations) Len() int { return len(v.Faults) + len(v.Bounds) + len(v.Text) }
+
+// Strings renders the list, faults then bounds then Text, into a new slice;
+// nil when there are no violations. It is the one place an audit's
+// violations become text.
+func (v Violations) Strings() []string {
+	if v.Len() == 0 {
+		return nil
+	}
+	out := make([]string, 0, v.Len())
+	for _, e := range v.Faults {
+		out = append(out, e.String())
+	}
+	for _, b := range v.Bounds {
+		out = append(out, b.Error())
+	}
+	return append(out, v.Text...)
 }
 
 // Admissible reports whether the run was fully admissible.
@@ -69,7 +101,7 @@ func (a Audit) Held() bool { return a.Verdict != VerdictBroken }
 // Silent reports the dangerous quadrant: the guarantee broke but the auditor
 // recorded no violated assumption. A correct algorithm under a correct
 // executor never produces this; the robustness sweeps assert it stays zero.
-func (a Audit) Silent() bool { return a.Verdict == VerdictBroken && len(a.Violations) == 0 }
+func (a Audit) Silent() bool { return a.Verdict == VerdictBroken && a.Violations.Len() == 0 }
 
 // AuditTrace classifies one recorded computation. tr and delays are the
 // executor's recorded outputs, sRequired is the spec's s, portsIdle reports
@@ -78,37 +110,35 @@ func (a Audit) Silent() bool { return a.Verdict == VerdictBroken && len(a.Violat
 // log. A nil trace (run died before producing one) has no sessions, so it
 // is audited as broken.
 func AuditTrace(m timing.Model, tr *model.Trace, delays []timing.MessageDelay, sRequired int, portsIdle bool, faults []Event) Audit {
+	v := Violations{Faults: faults}
 	if tr == nil {
-		return Classify(0, sRequired, portsIdle, faults, []string{"no trace recorded"})
+		v.Text = []string{"no trace recorded"}
+		return Classify(0, sRequired, portsIdle, v)
 	}
-	return Classify(tr.CountSessions(), sRequired, portsIdle, faults, m.AdmissibilityViolations(tr, delays))
+	var err error
+	if v.Bounds, err = m.AdmissibilityViolations(tr, delays); err != nil {
+		v.Text = []string{err.Error()}
+	}
+	return Classify(tr.CountSessions(), sRequired, portsIdle, v)
 }
 
-// Classify builds the audit of one computation from its parts: sessions is
-// its greedy session count, violations its timing-bound violations in
-// timing.Model.AdmissibilityViolations order (plus any note the runner
-// adds), and faults the executor's applied-fault log, whose events lead the
-// audit's Violations. It is the one home of the verdict rules: AuditTrace
-// classifies recorded traces with it, the fault-aware core runners their
-// online certifier's results.
-func Classify(sessions, sRequired int, portsIdle bool, faults []Event, violations []string) Audit {
+// Classify builds the audit of one computation from its greedy session
+// count and its violations. It is the one home of the verdict rules:
+// AuditTrace classifies recorded traces with it, the audited core runners
+// their online certifier's results. It counts the violations and renders
+// none of them.
+func Classify(sessions, sRequired int, portsIdle bool, v Violations) Audit {
 	a := Audit{
+		Violations:       v,
 		SessionsAchieved: sessions,
 		SessionsRequired: sRequired,
 		PortsIdle:        portsIdle,
-		FaultsInjected:   len(faults),
-	}
-	for _, ev := range faults {
-		a.Violations = append(a.Violations, ev.String())
-	}
-	a.Violations = append(a.Violations, violations...)
-	if len(a.Violations) > 0 {
-		a.FirstViolation = a.Violations[0]
+		FaultsInjected:   len(v.Faults),
 	}
 	switch {
 	case sessions < sRequired || !portsIdle:
 		a.Verdict = VerdictBroken
-	case len(a.Violations) == 0:
+	case v.Len() == 0:
 		a.Verdict = VerdictAdmissible
 	default:
 		a.Verdict = VerdictRecovered

@@ -20,7 +20,9 @@ package fault
 
 import (
 	"fmt"
+	"strconv"
 
+	"sessionproblem/internal/model"
 	"sessionproblem/internal/sim"
 )
 
@@ -117,7 +119,8 @@ type Injector interface {
 // Event records one fault the executor actually applied. Events are the
 // ground truth the auditor treats as assumption violations — faults like
 // message drops or stale reads leave traces that still look admissible to
-// the timing checker, and only the event log reveals them.
+// the timing checker, and only the event log reveals them. An event keeps
+// its magnitude as a value; String renders it.
 type Event struct {
 	// Kind is the applied fault class.
 	Kind Kind
@@ -127,14 +130,43 @@ type Event struct {
 	Proc int
 	// Src is the sending process for delivery faults, -1 otherwise.
 	Src int
-	// Detail describes the magnitude ("postponed +13", "restart after 40").
-	Detail string
+	// Delay is a restarting crash's pause (zero for a permanent crash), a
+	// step overrun's postponement, a late delivery's extra transit, or the
+	// transit of a duplicated message's second copy (delivered at
+	// At + Delay).
+	Delay sim.Duration
+	// Var is the variable a stale read observed the pre-update value of.
+	Var model.VarID
 }
 
 // String renders the event for violation lists and logs.
 func (e Event) String() string {
+	on := "p" + strconv.Itoa(e.Proc)
 	if e.Src >= 0 {
-		return fmt.Sprintf("fault %v at t=%v on message %d->%d: %s", e.Kind, e.At, e.Src, e.Proc, e.Detail)
+		on = "message " + strconv.Itoa(e.Src) + "->" + strconv.Itoa(e.Proc)
 	}
-	return fmt.Sprintf("fault %v at t=%v on p%d: %s", e.Kind, e.At, e.Proc, e.Detail)
+	return "fault " + e.Kind.String() + " at t=" + e.At.String() + " on " + on + ": " + e.detail()
+}
+
+// detail renders the event's magnitude.
+func (e Event) detail() string {
+	switch e.Kind {
+	case Crash:
+		if e.Delay > 0 {
+			return "restart after " + e.Delay.String()
+		}
+		return "permanent"
+	case StepOverrun:
+		return "postponed +" + e.Delay.String()
+	case StaleRead:
+		return "variable " + strconv.Itoa(int(e.Var)) + " read pre-update value"
+	case MessageDrop:
+		return "lost in transit"
+	case LateDelivery:
+		return "delayed +" + e.Delay.String() + " beyond schedule"
+	case MessageDuplicate:
+		return "second copy delivered at " + e.At.Add(e.Delay).String()
+	default:
+		return ""
+	}
 }

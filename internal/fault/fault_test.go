@@ -162,24 +162,24 @@ func TestAuditTraceClassification(t *testing.T) {
 	ok := sessionTrace(5)
 
 	aud := AuditTrace(m, ok, nil, 1, true, nil)
-	if !aud.Admissible() || !aud.Held() || aud.FirstViolation != "" {
+	if !aud.Admissible() || !aud.Held() || aud.Violations.Len() != 0 {
 		t.Fatalf("clean run audited %+v", aud)
 	}
 
 	// Injected faults demote an otherwise clean, successful run to recovered.
-	ev := Event{Kind: MessageDrop, At: 3, Proc: 1, Src: 0, Detail: "dropped"}
+	ev := Event{Kind: MessageDrop, At: 3, Proc: 1, Src: 0}
 	aud = AuditTrace(m, ok, nil, 1, true, []Event{ev})
 	if aud.Verdict != VerdictRecovered {
 		t.Fatalf("faulted-but-successful run audited %v, want recovered", aud.Verdict)
 	}
-	if aud.FirstViolation != ev.String() || aud.FaultsInjected != 1 {
+	if got := aud.Violations.Strings(); len(got) != 1 || got[0] != ev.String() || aud.FaultsInjected != 1 {
 		t.Fatalf("audit did not surface the fault event: %+v", aud)
 	}
 
 	// A trace violating the gap bound is recovered even with no fault events.
 	slow := sessionTrace(50)
 	aud = AuditTrace(m, slow, nil, 1, true, nil)
-	if aud.Verdict != VerdictRecovered || !strings.Contains(aud.FirstViolation, "gap") {
+	if got := aud.Violations.Strings(); aud.Verdict != VerdictRecovered || len(got) == 0 || !strings.Contains(got[0], "gap") {
 		t.Fatalf("bound-violating run audited %+v", aud)
 	}
 
@@ -197,8 +197,19 @@ func TestAuditTraceClassification(t *testing.T) {
 
 	// No trace at all → broken with an explanation.
 	aud = AuditTrace(m, nil, nil, 1, false, nil)
-	if aud.Verdict != VerdictBroken || aud.Silent() {
+	if got := aud.Violations.Strings(); aud.Verdict != VerdictBroken || aud.Silent() ||
+		!reflect.DeepEqual(got, []string{"no trace recorded"}) {
 		t.Fatalf("nil-trace run audited %+v", aud)
+	}
+
+	// An invalid trace is one violation, named by the trace check, ahead
+	// of nothing the gap rules would say about it.
+	bad := sessionTrace(50)
+	bad.Steps[1].Index = 7
+	aud = AuditTrace(m, bad, nil, 1, true, []Event{ev})
+	want := []string{ev.String(), "trace invalid: " + bad.Validate().Error()}
+	if got := aud.Violations.Strings(); aud.Verdict != VerdictRecovered || !reflect.DeepEqual(got, want) {
+		t.Fatalf("invalid-trace run audited %q (%v), want %q", got, aud.Verdict, want)
 	}
 }
 

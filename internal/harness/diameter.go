@@ -109,8 +109,8 @@ func hopRun(ctx context.Context, alg core.MPAlgorithm, spec core.Spec, m timing.
 	switch {
 	case err != nil:
 		return nil, err
-	case rep.Audit.FirstViolation != "":
-		return nil, fmt.Errorf("inadmissible computation: %s", rep.Audit.FirstViolation)
+	case rep.Audit.Violations.Len() > 0:
+		return nil, fmt.Errorf("inadmissible computation: %s", rep.Audit.Violations.Strings()[0])
 	case !rep.Audit.Admissible():
 		return nil, fmt.Errorf("only %d sessions", rep.Sessions)
 	}

@@ -180,39 +180,41 @@ type runOutcome struct {
 	verdict fault.Verdict
 	silent  bool
 
-	steps, sessions, messages, faults int
+	steps, sessions, messages, faults, violations int
 }
 
 // outcomeOf projects a run summary onto the harness outcome.
 func outcomeOf(sum *core.RunSummary) runOutcome {
 	return runOutcome{
-		finish:   float64(sum.Finish),
-		rounds:   sum.Rounds,
-		gamma:    sum.Gamma,
-		verdict:  sum.Audit.Verdict,
-		silent:   sum.Audit.Silent(),
-		steps:    sum.Steps,
-		sessions: sum.Sessions,
-		messages: sum.Messages,
-		faults:   sum.Faults,
+		finish:     float64(sum.Finish),
+		rounds:     sum.Rounds,
+		gamma:      sum.Gamma,
+		verdict:    sum.Audit.Verdict,
+		silent:     sum.Audit.Silent(),
+		steps:      sum.Steps,
+		sessions:   sum.Sessions,
+		messages:   sum.Messages,
+		faults:     sum.Faults,
+		violations: sum.Audit.Violations.Len(),
 	}
 }
 
 // outcomeOfReport is outcomeOf without the summary detour, for faulted runs
-// no cache keeps: summarizing them would copy every violation list only to
-// drop it. The two derive every field identically, so attaching a cache
-// never changes a result.
+// no cache keeps: summarizing them would render every violation only to
+// drop the text. The two derive every field identically, so attaching a
+// cache never changes a result.
 func outcomeOfReport(rep *core.Report) runOutcome {
 	return runOutcome{
-		finish:   float64(rep.Finish),
-		rounds:   rep.Rounds,
-		gamma:    rep.Gamma,
-		verdict:  rep.Audit.Verdict,
-		silent:   rep.Audit.Silent(),
-		steps:    rep.Steps(),
-		sessions: rep.Sessions,
-		messages: rep.Messages,
-		faults:   len(rep.Faults),
+		finish:     float64(rep.Finish),
+		rounds:     rep.Rounds,
+		gamma:      rep.Gamma,
+		verdict:    rep.Audit.Verdict,
+		silent:     rep.Audit.Silent(),
+		steps:      rep.Steps(),
+		sessions:   rep.Sessions,
+		messages:   rep.Messages,
+		faults:     len(rep.Faults),
+		violations: rep.Audit.Violations.Len(),
 	}
 }
 
@@ -233,6 +235,7 @@ func (g groupOutcome) Account() engine.Counts {
 		c.Sessions += o.sessions
 		c.Messages += o.messages
 		c.Faults += o.faults
+		c.Violations += o.violations
 	}
 	return c
 }

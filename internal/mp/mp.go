@@ -422,14 +422,13 @@ dispatch:
 					case fault.Crash:
 						if eff.Restart > 0 {
 							res.Faults = append(res.Faults, fault.Event{
-								Kind: fault.Crash, At: ev.At, Proc: p, Src: -1,
-								Detail: fmt.Sprintf("restart after %v", eff.Restart),
+								Kind: fault.Crash, At: ev.At, Proc: p, Src: -1, Delay: eff.Restart,
 							})
 							q.Push(sim.Event{At: ev.At.Add(eff.Restart), Kind: sim.KindStep, Proc: p})
 							continue
 						}
 						res.Faults = append(res.Faults, fault.Event{
-							Kind: fault.Crash, At: ev.At, Proc: p, Src: -1, Detail: "permanent",
+							Kind: fault.Crash, At: ev.At, Proc: p, Src: -1,
 						})
 						res.Crashed[p] = true
 						if !wasIdle {
@@ -441,8 +440,7 @@ dispatch:
 						continue
 					case fault.StepOverrun:
 						res.Faults = append(res.Faults, fault.Event{
-							Kind: fault.StepOverrun, At: ev.At, Proc: p, Src: -1,
-							Detail: fmt.Sprintf("postponed +%v", eff.Delay),
+							Kind: fault.StepOverrun, At: ev.At, Proc: p, Src: -1, Delay: eff.Delay,
 						})
 						q.Push(sim.Event{At: ev.At.Add(eff.Delay), Kind: sim.KindStep, Proc: p})
 						continue
@@ -510,13 +508,11 @@ dispatch:
 							// record — only the fault log witnesses the message.
 							res.Faults = append(res.Faults, fault.Event{
 								Kind: fault.MessageDrop, At: ev.At, Proc: dst, Src: p,
-								Detail: "lost in transit",
 							})
 							continue
 						case fault.LateDelivery:
 							res.Faults = append(res.Faults, fault.Event{
-								Kind: fault.LateDelivery, At: ev.At, Proc: dst, Src: p,
-								Detail: fmt.Sprintf("delayed +%v beyond schedule", eff.Delay),
+								Kind: fault.LateDelivery, At: ev.At, Proc: dst, Src: p, Delay: eff.Delay,
 							})
 							delay += eff.Delay
 						}
@@ -533,8 +529,7 @@ dispatch:
 						if eff.Kind == fault.MessageDuplicate {
 							dupAt := at.Add(eff.DuplicateDelay)
 							res.Faults = append(res.Faults, fault.Event{
-								Kind: fault.MessageDuplicate, At: ev.At, Proc: dst, Src: p,
-								Detail: fmt.Sprintf("second copy delivered at %v", dupAt),
+								Kind: fault.MessageDuplicate, At: ev.At, Proc: dst, Src: p, Delay: dupAt.Sub(ev.At),
 							})
 							q.Push(sim.Event{At: dupAt, Kind: sim.KindDelivery, Proc: dst, Msg: mi})
 							msg.pending++

@@ -102,7 +102,7 @@ func TestFaultLateDeliveryExceedsBound(t *testing.T) {
 	if len(res.Faults) != 1 || res.Faults[0].Kind != fault.LateDelivery {
 		t.Fatalf("Faults: got %v, want one late delivery", res.Faults)
 	}
-	if vs := m.AdmissibilityViolations(res.Trace, res.Delays); len(vs) == 0 {
+	if vs, err := m.AdmissibilityViolations(res.Trace, res.Delays); err != nil || len(vs) == 0 {
 		t.Fatal("AdmissibilityViolations missed a delay beyond d2")
 	}
 }

@@ -169,8 +169,8 @@ func admitted(rep *core.Report, err error) (sim.Time, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if rep.Audit.FirstViolation != "" {
-		return 0, 0, fmt.Errorf("schedule not admissible: %s", rep.Audit.FirstViolation)
+	if rep.Audit.Violations.Len() > 0 {
+		return 0, 0, fmt.Errorf("schedule not admissible: %s", rep.Audit.Violations.Strings()[0])
 	}
 	return rep.Finish, rep.Sessions, nil
 }

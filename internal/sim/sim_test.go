@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -34,6 +35,15 @@ func TestDurationString(t *testing.T) {
 	}
 	if got := Infinity.String(); got != "∞" {
 		t.Errorf("Infinity.String: got %q, want ∞", got)
+	}
+	if got := (Infinity + 5).String(); got != "∞" {
+		t.Errorf("(Infinity+5).String: got %q, want ∞", got)
+	}
+	if got := Duration(-7).String(); got != "-7" {
+		t.Errorf("Duration(-7).String: got %q, want -7", got)
+	}
+	if got := Time(-3).String() + " " + Time(0).String() + " " + Time(math.MaxInt64).String(); got != "-3 0 9223372036854775807" {
+		t.Errorf("Time.String: got %q", got)
 	}
 	if !Infinity.IsInfinite() {
 		t.Error("Infinity.IsInfinite() = false")

@@ -9,8 +9,8 @@
 package sim
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 )
 
 // Time is an absolute virtual time in ticks. Computations start at time 0.
@@ -31,14 +31,14 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 // String renders the time as a plain tick count.
-func (t Time) String() string { return fmt.Sprintf("%d", int64(t)) }
+func (t Time) String() string { return strconv.FormatInt(int64(t), 10) }
 
 // String renders the duration, using the symbol ∞ for Infinity.
 func (d Duration) String() string {
 	if d >= Infinity {
 		return "∞"
 	}
-	return fmt.Sprintf("%d", int64(d))
+	return strconv.FormatInt(int64(d), 10)
 }
 
 // IsInfinite reports whether d represents an unbounded constraint.

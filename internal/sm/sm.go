@@ -440,14 +440,13 @@ dispatch:
 				case fault.Crash:
 					if eff.Restart > 0 {
 						res.Faults = append(res.Faults, fault.Event{
-							Kind: fault.Crash, At: ev.At, Proc: p, Src: -1,
-							Detail: fmt.Sprintf("restart after %v", eff.Restart),
+							Kind: fault.Crash, At: ev.At, Proc: p, Src: -1, Delay: eff.Restart,
 						})
 						q.Push(sim.Event{At: ev.At.Add(eff.Restart), Kind: sim.KindStep, Proc: p})
 						continue
 					}
 					res.Faults = append(res.Faults, fault.Event{
-						Kind: fault.Crash, At: ev.At, Proc: p, Src: -1, Detail: "permanent",
+						Kind: fault.Crash, At: ev.At, Proc: p, Src: -1,
 					})
 					res.Crashed[p] = true
 					if !proc.Idle() {
@@ -459,8 +458,7 @@ dispatch:
 					continue
 				case fault.StepOverrun:
 					res.Faults = append(res.Faults, fault.Event{
-						Kind: fault.StepOverrun, At: ev.At, Proc: p, Src: -1,
-						Detail: fmt.Sprintf("postponed +%v", eff.Delay),
+						Kind: fault.StepOverrun, At: ev.At, Proc: p, Src: -1, Delay: eff.Delay,
 					})
 					q.Push(sim.Event{At: ev.At.Add(eff.Delay), Kind: sim.KindStep, Proc: p})
 					continue
@@ -482,8 +480,7 @@ dispatch:
 				if pv, ok := sc.prevVals[target]; ok {
 					observed = pv
 					res.Faults = append(res.Faults, fault.Event{
-						Kind: fault.StaleRead, At: ev.At, Proc: p, Src: -1,
-						Detail: fmt.Sprintf("variable %d read pre-update value", target),
+						Kind: fault.StaleRead, At: ev.At, Proc: p, Src: -1, Var: target,
 					})
 				}
 				// No previous write to resurrect: the fault has no effect and is

@@ -114,7 +114,7 @@ func TestFaultStepOverrunBreaksAdmissibility(t *testing.T) {
 	if err := m.CheckAdmissible(res.Trace, nil); err == nil {
 		t.Fatal("overrun trace still admissible under synchronous bounds")
 	}
-	if vs := m.AdmissibilityViolations(res.Trace, nil); len(vs) == 0 {
+	if vs, err := m.AdmissibilityViolations(res.Trace, nil); err != nil || len(vs) == 0 {
 		t.Fatal("AdmissibilityViolations found nothing for an overrun trace")
 	}
 }

@@ -16,9 +16,12 @@
 package timing
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
 
 	"sessionproblem/internal/model"
 	"sessionproblem/internal/sim"
@@ -235,8 +238,8 @@ func (d MessageDelay) Delay() sim.Duration { return d.Delivered.Sub(d.Sent) }
 // appears, counting the gap from time 0 to the first step (the paper
 // assumes all steps, including the first, obey the constraints from time 0).
 // An invalid trace is reported first; otherwise the first gap violation in
-// trace order, then the first delay violation in send order.
-// AdmissibilityViolations is the collecting variant.
+// trace order, then the first delay violation in send order, as a
+// Violation. AdmissibilityViolations is the collecting variant.
 func (m Model) CheckAdmissible(tr *model.Trace, delays []MessageDelay) error {
 	if err := tr.Validate(); err != nil {
 		return fmt.Errorf("trace invalid: %w", err)
@@ -244,17 +247,18 @@ func (m Model) CheckAdmissible(tr *model.Trace, delays []MessageDelay) error {
 	return replay(m.NewChecker(tr.NumProcs), tr, delays).Err()
 }
 
-// AdmissibilityViolations returns a description of every constraint the
-// trace and recorded delays violate under this model, in deterministic
-// order: per-process gap violations (processes in index order, steps in
-// trace order), then message-delay violations in send order. It returns nil
-// for admissible computations. CheckAdmissible is the fail-fast variant;
-// the fault auditor uses this collecting one.
-func (m Model) AdmissibilityViolations(tr *model.Trace, delays []MessageDelay) []string {
+// AdmissibilityViolations returns every constraint the trace and recorded
+// delays violate under this model, in Checker.Violations order: per-process
+// gap violations (processes in index order, steps in trace order), then
+// message-delay violations in send order. It returns nil, nil for an
+// admissible computation, and only the error CheckAdmissible reports for an
+// invalid trace. CheckAdmissible is the fail-fast variant; the fault
+// auditor uses this collecting one.
+func (m Model) AdmissibilityViolations(tr *model.Trace, delays []MessageDelay) ([]Violation, error) {
 	if err := tr.Validate(); err != nil {
-		return []string{fmt.Sprintf("trace invalid: %v", err)}
+		return nil, fmt.Errorf("trace invalid: %w", err)
 	}
-	return replay(m.NewCollectingChecker(tr.NumProcs), tr, delays).Violations()
+	return replay(m.NewCollectingChecker(tr.NumProcs), tr, delays).Violations(), nil
 }
 
 // replay feeds a recorded trace and its delays through c.
@@ -268,6 +272,85 @@ func replay(c *Checker, tr *model.Trace, delays []MessageDelay) *Checker {
 	return c
 }
 
+// Rule names the admissibility rule a Violation breaks.
+type Rule uint8
+
+// The rules, one per message Violation.Error renders. The zero Rule is no
+// violation.
+const (
+	// RuleStartSync: under a synchronized start, a first step not at 0.
+	RuleStartSync Rule = iota + 1
+	// RuleGapC2: a synchronous gap other than c2.
+	RuleGapC2
+	// RulePeriodRange: a periodic process's period outside [cmin, cmax].
+	RulePeriodRange
+	// RulePeriodGap: a periodic gap other than the process's period.
+	RulePeriodGap
+	// RuleGapRange: a gap outside [c1, c2] (semi-synchronous) or [0, c2]
+	// (asynchronous message passing).
+	RuleGapRange
+	// RuleGapBelowC1: a sporadic gap below c1.
+	RuleGapBelowC1
+	// RuleNegativeGap: an asynchronous shared-memory step back in time.
+	RuleNegativeGap
+	// RuleDelayD2: a synchronous delay other than d2.
+	RuleDelayD2
+	// RuleDelayRange: a delay outside [d1, d2].
+	RuleDelayRange
+)
+
+// Violation is one broken admissibility rule, kept as the numbers its
+// message prints; Error renders the message. It is built only when a bound
+// fails, so a passing step or delay costs no more than the comparison.
+type Violation struct {
+	Rule Rule
+	// Proc and Index name the step a gap rule faults; Src and Dst the
+	// message a delay rule faults.
+	Proc, Index int
+	Src, Dst    int
+	// At is the step's time, or the message's send time.
+	At sim.Time
+	// Got is the measured gap, period or delay, and [Lo, Hi] the range the
+	// rule admits (Lo = Hi for the exact rules).
+	Got, Lo, Hi sim.Duration
+}
+
+// Error renders the violation's message.
+func (v Violation) Error() string {
+	switch v.Rule {
+	case RuleStartSync:
+		return v.proc() + ": first step at " + v.At.String() + ", want 0 under synchronized start"
+	case RuleGapC2:
+		return v.step() + "gap " + v.Got.String() + " != c2 " + v.Hi.String()
+	case RulePeriodRange:
+		return v.proc() + ": period " + v.Got.String() + " outside " + interval(v.Lo, v.Hi)
+	case RulePeriodGap:
+		return v.step() + "gap " + v.Got.String() + " != period " + v.Hi.String()
+	case RuleGapRange:
+		return v.step() + "gap " + v.Got.String() + " outside " + interval(v.Lo, v.Hi)
+	case RuleGapBelowC1:
+		return v.step() + "gap " + v.Got.String() + " below c1 " + v.Lo.String()
+	case RuleNegativeGap:
+		return v.step() + "negative gap"
+	case RuleDelayD2:
+		return v.message() + "delay " + v.Got.String() + " != d2 " + v.Hi.String()
+	case RuleDelayRange:
+		return v.message() + "delay " + v.Got.String() + " outside " + interval(v.Lo, v.Hi)
+	default:
+		return "timing: Rule(" + strconv.Itoa(int(v.Rule)) + ")"
+	}
+}
+
+func (v Violation) proc() string { return "p" + strconv.Itoa(v.Proc) }
+
+func (v Violation) step() string { return v.proc() + " step " + strconv.Itoa(v.Index) + ": " }
+
+func (v Violation) message() string {
+	return "message " + strconv.Itoa(v.Src) + "->" + strconv.Itoa(v.Dst) + " sent " + v.At.String() + ": "
+}
+
+func interval(lo, hi sim.Duration) string { return "[" + lo.String() + "," + hi.String() + "]" }
+
 // gapState is one process's running state for gap checking.
 type gapState struct {
 	last   sim.Time
@@ -275,9 +358,11 @@ type gapState struct {
 	seen   bool
 }
 
-// checkGapStep checks one step's gap against the model.
-func (m Model) checkGapStep(st *gapState, proc, index int, at sim.Time) error {
-	gap := at.Sub(st.last)
+// checkGapStep advances st past a step at time at and returns the step's
+// gap and, when the gap breaks a rule, that rule and the range [lo, hi] it
+// admits. The caller builds a Violation only then.
+func (m *Model) checkGapStep(st *gapState, at sim.Time) (gap sim.Duration, r Rule, lo, hi sim.Duration) {
+	gap = at.Sub(st.last)
 	st.last = at
 	first := !st.seen
 	st.seen = true
@@ -285,14 +370,14 @@ func (m Model) checkGapStep(st *gapState, proc, index int, at sim.Time) error {
 		// [4]'s convention: the synchronized first step occurs at time 0;
 		// subsequent gaps obey the model constraints.
 		if gap != 0 {
-			return fmt.Errorf("p%d: first step at %v, want 0 under synchronized start", proc, at)
+			return gap, RuleStartSync, 0, 0
 		}
-		return nil
+		return gap, 0, 0, 0
 	}
 	switch m.Kind {
 	case Synchronous:
 		if gap != m.C2 {
-			return fmt.Errorf("p%d step %d: gap %v != c2 %v", proc, index, gap, m.C2)
+			return gap, RuleGapC2, m.C2, m.C2
 		}
 	case Periodic:
 		if st.period == 0 {
@@ -300,29 +385,44 @@ func (m Model) checkGapStep(st *gapState, proc, index int, at sim.Time) error {
 			// (PeriodMin > 0, so 0 is a safe "unset" sentinel).
 			st.period = gap
 			if gap < m.PeriodMin || gap > m.PeriodMax {
-				return fmt.Errorf("p%d: period %v outside [%v,%v]", proc, gap, m.PeriodMin, m.PeriodMax)
+				return gap, RulePeriodRange, m.PeriodMin, m.PeriodMax
 			}
 		} else if gap != st.period {
-			return fmt.Errorf("p%d step %d: gap %v != period %v", proc, index, gap, st.period)
+			return gap, RulePeriodGap, st.period, st.period
 		}
 	case SemiSynchronous:
 		if gap < m.C1 || gap > m.C2 {
-			return fmt.Errorf("p%d step %d: gap %v outside [%v,%v]", proc, index, gap, m.C1, m.C2)
+			return gap, RuleGapRange, m.C1, m.C2
 		}
 	case Sporadic:
 		if gap < m.C1 {
-			return fmt.Errorf("p%d step %d: gap %v below c1 %v", proc, index, gap, m.C1)
+			return gap, RuleGapBelowC1, m.C1, m.C2
 		}
 	case AsynchronousSM:
 		if gap < 0 {
-			return fmt.Errorf("p%d step %d: negative gap", proc, index)
+			return gap, RuleNegativeGap, 0, m.C2
 		}
 	case AsynchronousMP:
 		if gap < 0 || gap > m.C2 {
-			return fmt.Errorf("p%d step %d: gap %v outside [0,%v]", proc, index, gap, m.C2)
+			return gap, RuleGapRange, 0, m.C2
 		}
 	}
-	return nil
+	return gap, 0, 0, 0
+}
+
+// checkDelay returns the rule a transit of length delay breaks, if any, and
+// the range [lo, hi] that rule admits.
+func (m *Model) checkDelay(delay sim.Duration) (r Rule, lo, hi sim.Duration) {
+	if m.Kind == Synchronous {
+		if delay != m.D2 {
+			return RuleDelayD2, m.D2, m.D2
+		}
+		return 0, 0, 0
+	}
+	if delay < m.D1 || delay > m.D2 {
+		return RuleDelayRange, m.D1, m.D2
+	}
+	return 0, 0, 0
 }
 
 // Checker is the one implementation of the gap and delay rules. It verifies
@@ -338,18 +438,11 @@ type Checker struct {
 	m       Model
 	st      []gapState
 	collect bool
-	// gapErr and delayErr are the first gap violation in step order and
-	// the first delay violation in send order.
-	gapErr, delayErr error
-	// Collecting mode only: every violation, gaps tagged with their
-	// process and kept in step order.
-	gaps   []procViolation
-	delays []string
-}
-
-type procViolation struct {
-	proc int
-	msg  string
+	// firstGap and firstDelay are the first gap violation in step order
+	// and the first delay violation in send order (Rule 0: none yet).
+	firstGap, firstDelay Violation
+	// Collecting mode only: every violation, in observation order.
+	all []Violation
 }
 
 // NewChecker returns a fail-fast checker for a system of numProcs regular
@@ -370,76 +463,66 @@ func (m Model) NewCollectingChecker(numProcs int) *Checker {
 
 // ObserveStep checks one executed step's gap constraint.
 func (c *Checker) ObserveStep(s model.Step) {
-	if (c.gapErr != nil && !c.collect) || s.Proc < 0 || s.Proc >= len(c.st) {
+	if (c.firstGap.Rule != 0 && !c.collect) || s.Proc < 0 || s.Proc >= len(c.st) {
 		return
 	}
-	err := c.m.checkGapStep(&c.st[s.Proc], s.Proc, s.Index, s.Time)
-	if err == nil {
-		return
-	}
-	if c.gapErr == nil {
-		c.gapErr = err
-	}
-	if c.collect {
-		c.gaps = append(c.gaps, procViolation{s.Proc, err.Error()})
+	if gap, r, lo, hi := c.m.checkGapStep(&c.st[s.Proc], s.Time); r != 0 {
+		c.record(&c.firstGap, Violation{Rule: r, Proc: s.Proc, Index: s.Index, At: s.Time, Got: gap, Lo: lo, Hi: hi})
 	}
 }
 
 // ObserveDelay checks one message's transit interval.
 func (c *Checker) ObserveDelay(d MessageDelay) {
-	if (c.gapErr != nil || c.delayErr != nil) && !c.collect {
+	if (c.firstGap.Rule != 0 || c.firstDelay.Rule != 0) && !c.collect {
 		return
 	}
-	err := c.m.checkDelay(d)
-	if err == nil {
-		return
+	delay := d.Delay()
+	if r, lo, hi := c.m.checkDelay(delay); r != 0 {
+		c.record(&c.firstDelay, Violation{Rule: r, Src: d.Src, Dst: d.Dst, At: d.Sent, Got: delay, Lo: lo, Hi: hi})
 	}
-	if c.delayErr == nil {
-		c.delayErr = err
+}
+
+// record keeps v as the first violation of its kind, and every violation
+// when the checker collects.
+func (c *Checker) record(first *Violation, v Violation) {
+	if first.Rule == 0 {
+		*first = v
 	}
 	if c.collect {
-		c.delays = append(c.delays, err.Error())
+		c.all = append(c.all, v)
 	}
 }
 
 // Err returns the first gap violation observed, else the first delay
 // violation, else nil.
 func (c *Checker) Err() error {
-	if c.gapErr != nil {
-		return c.gapErr
-	}
-	return c.delayErr
-}
-
-// Violations lists every violation a collecting checker observed, in
-// AdmissibilityViolations order: gap violations by process index, each
-// process's in step order, then delay violations in send order. It returns
-// nil when there were none, and always for a fail-fast checker.
-func (c *Checker) Violations() []string {
-	if len(c.gaps)+len(c.delays) == 0 {
-		return nil
-	}
-	sort.SliceStable(c.gaps, func(i, j int) bool { return c.gaps[i].proc < c.gaps[j].proc })
-	out := make([]string, 0, len(c.gaps)+len(c.delays))
-	for _, v := range c.gaps {
-		out = append(out, v.msg)
-	}
-	return append(out, c.delays...)
-}
-
-func (m Model) checkDelay(d MessageDelay) error {
-	delay := d.Delay()
-	lo, hi := m.D1, m.D2
-	if m.Kind == Synchronous {
-		if delay != m.D2 {
-			return fmt.Errorf("message %d->%d sent %v: delay %v != d2 %v",
-				d.Src, d.Dst, d.Sent, delay, m.D2)
-		}
-		return nil
-	}
-	if delay < lo || delay > hi {
-		return fmt.Errorf("message %d->%d sent %v: delay %v outside [%v,%v]",
-			d.Src, d.Dst, d.Sent, delay, lo, hi)
+	switch {
+	case c.firstGap.Rule != 0:
+		return c.firstGap
+	case c.firstDelay.Rule != 0:
+		return c.firstDelay
 	}
 	return nil
+}
+
+// Violations lists every violation a collecting checker observed: gap
+// violations by process index, each process's in step order, then delay
+// violations in send order. It returns nil when there were none, and always
+// for a fail-fast checker. It sorts the checker's own list in place and
+// returns it.
+func (c *Checker) Violations() []Violation {
+	if len(c.all) == 0 {
+		return nil
+	}
+	slices.SortStableFunc(c.all, func(a, b Violation) int { return cmp.Compare(a.order(), b.order()) })
+	return c.all
+}
+
+// order is v's key in Violations: its process for a gap rule, after every
+// process for a delay rule.
+func (v Violation) order() int {
+	if v.Rule == RuleDelayD2 || v.Rule == RuleDelayRange {
+		return math.MaxInt
+	}
+	return v.Proc
 }

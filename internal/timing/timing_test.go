@@ -264,8 +264,8 @@ func TestSchedulerStrategiesStayAdmissible(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				d := MessageDelay{Src: 0, Dst: 1, Sent: 0,
 					Delivered: sim.Time(s.Delay(0, 1))}
-				if err := m.checkDelay(d); err != nil {
-					t.Errorf("%v/%v: scheduler produced inadmissible delay: %v", m.Kind, st, err)
+				if r, _, _ := m.checkDelay(d.Delay()); r != 0 {
+					t.Errorf("%v/%v: scheduler produced inadmissible delay %v", m.Kind, st, d.Delay())
 				}
 			}
 		}
@@ -366,28 +366,28 @@ func TestAdmissibilityViolationsCollectsAll(t *testing.T) {
 		{Src: 1, Dst: 0, Sent: 0, Delivered: 20}, // delay 12 > d2
 	}
 
-	out := m.AdmissibilityViolations(tr, delays)
-	if len(out) != 3 {
-		t.Fatalf("got %d violations, want 3: %q", len(out), out)
+	out, err := m.AdmissibilityViolations(tr, delays)
+	if err != nil || len(out) != 3 {
+		t.Fatalf("got %d violations (err %v), want 3: %v", len(out), err, out)
 	}
-	for i, want := range []string{"p0", "p0", "delay"} {
-		if !strings.Contains(out[i], want) {
-			t.Errorf("violation %d = %q, want containing %q", i, out[i], want)
+	for i, want := range []string{"p0 step 0: gap 1 outside [2,5]", "p0 step 3: gap 6 outside [2,5]", "message 1->0 sent 0: delay 20 outside [0,8]"} {
+		if got := out[i].Error(); got != want {
+			t.Errorf("violation %d = %q, want %q", i, got, want)
 		}
 	}
-	if err := m.CheckAdmissible(tr, delays); err == nil || err.Error() != out[0] {
-		t.Errorf("fail-fast variant disagrees: CheckAdmissible = %v, first violation = %q",
+	if err := m.CheckAdmissible(tr, delays); err == nil || err.Error() != out[0].Error() {
+		t.Errorf("fail-fast variant disagrees: CheckAdmissible = %v, first violation = %v",
 			err, out[0])
 	}
 
-	if got := m.AdmissibilityViolations(traceWithGaps(2, 5, 3), nil); got != nil {
-		t.Errorf("admissible trace: got %q, want nil", got)
+	if got, err := m.AdmissibilityViolations(traceWithGaps(2, 5, 3), nil); got != nil || err != nil {
+		t.Errorf("admissible trace: got %v, %v, want nil, nil", got, err)
 	}
 
 	bad := traceWithGaps(3, 3)
 	bad.Steps[1].Index = 9
-	if got := m.AdmissibilityViolations(bad, nil); len(got) != 1 || !strings.Contains(got[0], "trace invalid") {
-		t.Errorf("invalid trace: got %q, want single trace-invalid entry", got)
+	if got, err := m.AdmissibilityViolations(bad, nil); got != nil || err == nil || !strings.HasPrefix(err.Error(), "trace invalid: ") {
+		t.Errorf("invalid trace: got %v, %v, want only a trace-invalid error", got, err)
 	}
 }
 
@@ -417,14 +417,125 @@ func TestCheckerOrderIndependentOfInterleaving(t *testing.T) {
 	got := collecting.Violations()
 	want := []string{"p0 step 1:", "p0 step 3:", "p1 step 0:", "message 0->1"}
 	if len(got) != len(want) {
-		t.Fatalf("Violations = %q, want %d entries", got, len(want))
+		t.Fatalf("Violations = %v, want %d entries", got, len(want))
 	}
 	for i := range want {
-		if !strings.HasPrefix(got[i], want[i]) {
-			t.Errorf("violation %d = %q, want prefix %q", i, got[i], want[i])
+		if !strings.HasPrefix(got[i].Error(), want[i]) {
+			t.Errorf("violation %d = %v, want prefix %q", i, got[i], want[i])
 		}
 	}
 	if failFast.Violations() != nil {
-		t.Errorf("fail-fast checker collected %q", failFast.Violations())
+		t.Errorf("fail-fast checker collected %v", failFast.Violations())
+	}
+}
+
+// TestViolationText pins the exact text of each of the checker's ten
+// messages, one case per rule. Violation lists reach the facade, the disk
+// cache and the journal as this text, so it must not drift.
+func TestViolationText(t *testing.T) {
+	step := func(proc, index int, at sim.Time) model.Step {
+		return model.Step{Index: index, Proc: proc, Time: at, Port: model.NoPort}
+	}
+	cases := []struct {
+		name   string
+		m      Model
+		steps  []model.Step
+		delays []MessageDelay
+		want   string
+	}{
+		{"synchronized start", NewSemiSynchronous(2, 10, 0).WithSynchronizedStart(),
+			[]model.Step{step(1, 0, 3)}, nil,
+			"p1: first step at 3, want 0 under synchronized start"},
+		{"synchronous gap", NewSynchronous(4, 6),
+			[]model.Step{step(0, 0, 4), step(1, 1, 4), step(1, 2, 9)}, nil,
+			"p1 step 2: gap 5 != c2 4"},
+		{"period out of range", NewPeriodic(2, 5, 6),
+			[]model.Step{step(0, 0, 7)}, nil,
+			"p0: period 7 outside [2,5]"},
+		{"gap off the period", NewPeriodic(2, 5, 6),
+			[]model.Step{step(0, 0, 3), step(0, 1, 7)}, nil,
+			"p0 step 1: gap 4 != period 3"},
+		{"semi-synchronous gap", NewSemiSynchronous(2, 10, 0),
+			[]model.Step{step(0, 0, 11)}, nil,
+			"p0 step 0: gap 11 outside [2,10]"},
+		{"sporadic gap", NewSporadic(3, 2, 6, 0),
+			[]model.Step{step(2, 0, 1)}, nil,
+			"p2 step 0: gap 1 below c1 3"},
+		{"negative gap", NewAsynchronousSM(0),
+			[]model.Step{step(0, 0, 5), step(0, 1, 3)}, nil,
+			"p0 step 1: negative gap"},
+		{"asynchronous MP gap", NewAsynchronousMP(3, 5),
+			[]model.Step{step(1, 0, 4)}, nil,
+			"p1 step 0: gap 4 outside [0,3]"},
+		{"synchronous delay", NewSynchronous(4, 6),
+			nil, []MessageDelay{{Src: 0, Dst: 1, Sent: 4, Delivered: 9}},
+			"message 0->1 sent 4: delay 5 != d2 6"},
+		{"delay out of range", NewSporadic(3, 2, 6, 0),
+			nil, []MessageDelay{{Src: 2, Dst: 0, Sent: 12, Delivered: 13}},
+			"message 2->0 sent 12: delay 1 outside [2,6]"},
+	}
+	for _, tc := range cases {
+		c, all := tc.m.NewChecker(3), tc.m.NewCollectingChecker(3)
+		for _, s := range tc.steps {
+			c.ObserveStep(s)
+			all.ObserveStep(s)
+		}
+		for _, d := range tc.delays {
+			c.ObserveDelay(d)
+			all.ObserveDelay(d)
+		}
+		if err := c.Err(); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Err() = %v, want %q", tc.name, err, tc.want)
+		}
+		if vs := all.Violations(); len(vs) != 1 || vs[0].Error() != tc.want {
+			t.Errorf("%s: collected %v, want only %q", tc.name, vs, tc.want)
+		}
+	}
+}
+
+// checkerVariants are the two checker modes the passing-path benches run.
+func checkerVariants(m Model) []struct {
+	name string
+	mk   func(numProcs int) *Checker
+} {
+	return []struct {
+		name string
+		mk   func(numProcs int) *Checker
+	}{{"fail-fast", m.NewChecker}, {"collecting", m.NewCollectingChecker}}
+}
+
+// BenchmarkCheckerObserveStep times the passing path of ObserveStep, which
+// certifies every step of every verified run: an admissible
+// semi-synchronous stream, each process stepping every 5 ticks.
+func BenchmarkCheckerObserveStep(b *testing.B) {
+	const procs = 8
+	for _, v := range checkerVariants(NewSemiSynchronous(2, 10, 28)) {
+		b.Run(v.name, func(b *testing.B) {
+			c := v.mk(procs)
+			for i := 0; i < b.N; i++ {
+				c.ObserveStep(model.Step{Index: i, Proc: i % procs, Time: sim.Time(i/procs+1) * 5, Port: model.NoPort})
+			}
+			if err := c.Err(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkCheckerObserveDelay times the passing path of ObserveDelay: an
+// admissible stream of 10-tick transits under d2 = 28.
+func BenchmarkCheckerObserveDelay(b *testing.B) {
+	const procs = 8
+	for _, v := range checkerVariants(NewSemiSynchronous(2, 10, 28)) {
+		b.Run(v.name, func(b *testing.B) {
+			c := v.mk(procs)
+			for i := 0; i < b.N; i++ {
+				sent := sim.Time(i)
+				c.ObserveDelay(MessageDelay{Src: i % procs, Dst: (i + 1) % procs, Sent: sent, Delivered: sent + 10})
+			}
+			if err := c.Err(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -290,8 +290,9 @@ type Report struct {
 	// (assumptions violated but the guarantee survived) or "broken".
 	Verdict string `json:"verdict"`
 	// Violations lists every violated assumption: injected faults in
-	// execution order, then the timing bounds the trace itself broke. Nil
-	// for admissible runs.
+	// execution order, then the gap bounds the computation broke (by
+	// process, each process's in step order), then the delay bounds (in
+	// send order). Nil for admissible runs.
 	Violations []string `json:"violations,omitempty"`
 	// FaultsInjected counts the faults applied to the reported attempt.
 	FaultsInjected int `json:"faultsInjected"`
@@ -549,9 +550,9 @@ func (cfg settings) solveFaulted(ctx context.Context, id solveID) (*Report, erro
 	out := reportOf(best)
 	out.Admissible = best.Audit.Verdict == fault.VerdictAdmissible
 	out.Verdict = best.Audit.Verdict.String()
-	// The summary may be shared via the cache; hand the caller its own copy
-	// (append on an empty source stays nil, matching the uncached shape).
-	out.Violations = append([]string(nil), best.Audit.Violations...)
+	// The summary may be shared via the cache; Strings hands the caller its
+	// own copy (nil when there are none, matching the uncached shape).
+	out.Violations = best.Audit.Violations.Strings()
 	out.FaultsInjected = best.Faults
 	out.Attempts = attempts
 	out.RobustnessMargin = margin

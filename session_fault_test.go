@@ -3,7 +3,10 @@ package sessionproblem_test
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -217,5 +220,32 @@ func TestSweepFaultIntensityFacade(t *testing.T) {
 		if p.Measured < 0 || p.Measured > 1 {
 			t.Errorf("%s: held fraction %v outside [0,1]", p.Label, p.Measured)
 		}
+	}
+}
+
+// TestSolveFaultedViolationsGolden pins one faulted Solve's whole violation
+// list, byte for byte: every fault-event form a message-passing run can
+// record (restarting and permanent crashes, overruns, drops, late and
+// duplicated deliveries) and the delay bounds they break, in report order.
+// The golden holds one violation per line.
+func TestSolveFaultedViolationsGolden(t *testing.T) {
+	rep, err := sessionproblem.Solve(context.Background(),
+		sessionproblem.Sporadic, sessionproblem.MessagePassing,
+		sessionproblem.WithSpec(2, 2),
+		sessionproblem.WithSchedule("random", 3),
+		sessionproblem.WithFaultPlan(sessionproblem.NewFaultPlan(5, 0.2)))
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", "solve_faulted_violations.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if rep.Verdict != "broken" || rep.FaultsInjected != 26 {
+		t.Errorf("verdict %q with %d faults, want broken with 26", rep.Verdict, rep.FaultsInjected)
+	}
+	if !reflect.DeepEqual(rep.Violations, want) {
+		t.Errorf("violations differ from the golden:\n got %q\nwant %q", rep.Violations, want)
 	}
 }
